@@ -10,6 +10,7 @@ failing trial, 1 usage or I/O error.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 
@@ -230,29 +231,36 @@ def _cmd_formulas(args) -> int:
     return 0
 
 
-_SUITE_PARAM_NAMES = {
-    "matrix-tree": ("seed",),
-    "rc": ("n_max", "a_max", "b_max", "trials", "seed"),
-    "ineq": ("n_max", "mult_max", "trials", "seed"),
-    "mt": ("n_max", "entry_max", "trials", "seed"),
-    "recurrence": ("n_max", "a_max"),
-    "decomp": ("trials", "seed"),
-    "properties": ("seed",),
-}
+def _flag(param: str) -> str:
+    return "--" + param.replace("_", "-")
 
 
-def _suite_kwargs(name: str, args) -> dict:
-    kwargs = {}
-    for param in _SUITE_PARAM_NAMES[name]:
-        value = getattr(args, param, None)
-        if value is not None:
-            kwargs[param] = value
-    return kwargs
+def _suite_kwargs(names: list[str], args) -> list[dict]:
+    """Keyword arguments for each named suite: the verify flags its
+    signature takes. Every value is checked against the suite's minimums
+    before any suite runs; a single suite rejects a flag it does not take
+    (--seed, shared by all subcommands, excepted)."""
+    signatures = {name: inspect.signature(fn).parameters for name, fn in suites_mod.SUITES.items()}
+    given = {p: v for params in signatures.values() for p in params
+             if (v := getattr(args, p, None)) is not None}
+    out = []
+    for name in names:
+        kwargs = {p: v for p, v in given.items() if p in signatures[name]}
+        stray = sorted(given.keys() - kwargs.keys() - {"seed"})
+        if len(names) == 1 and stray:
+            raise UsageError(f"suite {name} takes no {', '.join(map(_flag, stray))}")
+        for p, v in kwargs.items():
+            low = suites_mod.MINIMUMS[name].get(p, v)
+            if v < low:
+                raise UsageError(f"suite {name} needs {_flag(p)} >= {low}, got {v}")
+        out.append(kwargs)
+    return out
 
 
 def _cmd_verify(args) -> int:
     names = sorted(suites_mod.SUITES) if args.suite == "all" else [args.suite]
-    reports = [suites_mod.SUITES[name](**_suite_kwargs(name, args)) for name in names]
+    kwargs = _suite_kwargs(names, args)
+    reports = [suites_mod.SUITES[name](**kw) for name, kw in zip(names, kwargs)]
     if args.format == "json":
         if len(reports) == 1:
             text = reports[0].to_json() + "\n"

@@ -128,7 +128,7 @@ def _check_nab(n: int, a: int, b: int):
         raise FormulaDomainError(f"need n, a, b >= 1, got ({n}, {a}, {b})")
 
 
-def _pow_frac(base: int, exp: int) -> Fraction:
+def _pow_frac(base: Fraction | int, exp: int) -> Fraction:
     # 0^0 = 1; negative exponents only reach nonzero bases here
     if exp == 0:
         return Fraction(1)
@@ -168,13 +168,7 @@ def _theta(l: int, x: Fraction | int) -> Fraction:
         raise FormulaDomainError(f"l must be >= 0, got {l}")
     if l == 0:
         return Fraction(1)
-    return _pow_frac_any(x, l - 1) * (Fraction(x) + l)
-
-
-def _pow_frac_any(base: Fraction | int, exp: int) -> Fraction:
-    if exp == 0:
-        return Fraction(1)
-    return Fraction(base) ** exp
+    return _pow_frac(x, l - 1) * (Fraction(x) + l)
 
 
 def step_weight_dim(n: int, r: int, a: int) -> int:

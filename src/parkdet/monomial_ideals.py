@@ -67,10 +67,6 @@ class MonomialIdeal:
         return any(divides(g, m) for g in self.gens)
 
 
-def contains(ideal: MonomialIdeal, m: Monomial) -> bool:
-    return m in ideal
-
-
 def boundary_monomial(g: Multigraph, subset: Iterable[int]) -> Monomial:
     """Exponent of x_i is the number of edges from i to outside the subset
     (0 for vertices not in the subset)."""

@@ -41,7 +41,3 @@ class SplitMix64:
         if not seq:
             raise ValueError("choice from empty sequence")
         return seq[self.randint(0, len(seq) - 1)]
-
-    def spawn(self) -> "SplitMix64":
-        """Child generator with an independent-looking stream."""
-        return SplitMix64(self.next_u64())

@@ -14,11 +14,13 @@ admissible permutation) are recorded as skipped, not failed.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import time
 from dataclasses import dataclass, field
 from itertools import permutations
+from typing import Callable
 
 from .exact_linalg import (
     IntMatrix,
@@ -99,6 +101,21 @@ class Report:
     def failed(self) -> list[Trial]:
         return [t for t in self.trials if not t.passed]
 
+    def add(self, instance: dict, dim: int, det: int, formula: int | None = None,
+            relation: str = "eq", passed: bool | None = None):
+        """Append the next trial. Unless `passed` is given, "eq" passes when
+        dim, det and any formula agree, "geq" when dim >= det."""
+        if passed is None:
+            if relation == "eq":
+                passed = dim == det and (formula is None or formula == dim)
+            else:
+                passed = dim >= det
+        self.trials.append(Trial(len(self.trials), instance, dim, det, formula, relation, passed))
+
+    def skip(self, instance: dict, reason: str):
+        """Append a trial that could not be run on `instance`; it passes."""
+        self.add({**instance, "skipped": reason}, 0, 0, passed=True)
+
     @property
     def exit_code(self) -> int:
         return 0 if not self.failed else 2
@@ -168,25 +185,16 @@ def _matrix_instance(h: IntMatrix, label: str = "", **extra) -> dict:
     return inst
 
 
-def _compare(tid: int, instance: dict, dim: int, dt: int, formula: int | None = None,
-             relation: str = "eq", passed: bool | None = None) -> Trial:
-    if passed is None:
-        if relation == "eq":
-            passed = dim == dt and (formula is None or formula == dim)
-        else:
-            passed = dim >= dt
-    return Trial(tid, instance, dim, dt, formula, relation, passed)
-
-
-def _skip(tid: int, instance: dict, reason: str) -> Trial:
-    instance = dict(instance)
-    instance["skipped"] = reason
-    return Trial(tid, instance, 0, 0, None, "eq", True)
-
-
-def _finish(report: Report, started: float) -> Report:
-    report.elapsed_ms = int((time.monotonic() - started) * 1000)
-    return report
+def _count_vs_det(report: Report, inst: dict, ideal: MonomialIdeal, h: IntMatrix,
+                  formula: int | None = None, relation: str = "eq"):
+    """Add a trial comparing the quotient dimension of `ideal` with det(h).
+    A non-Artinian ideal is recorded as a failed trial carrying the error."""
+    try:
+        dim = count_standard(ideal)
+    except NonArtinianError as exc:
+        report.add({**inst, "error": str(exc)}, 0, 0, relation=relation, passed=False)
+        return
+    report.add(inst, dim, det(h), formula, relation)
 
 
 # --- instance corpora --------------------------------------------------------
@@ -268,43 +276,56 @@ def _random_dominant_psd(rng: SplitMix64, n: int, entry_max: int,
 # --- suites -------------------------------------------------------------------
 
 
+SUITES: dict[str, Callable[..., Report]] = {}
+# The smallest value each suite accepts for a parameter, checked by the CLI
+# before any suite runs.
+MINIMUMS: dict[str, dict[str, int]] = {}
+
+
+def _suite(name: str, **minimums: int):
+    """Register a suite under `name`, with the smallest value it accepts for
+    each parameter, and time each run into the report's elapsed_ms."""
+    def register(fn):
+        @functools.wraps(fn)
+        def run(*args, **kwargs) -> Report:
+            started = time.monotonic()
+            report = fn(*args, **kwargs)
+            report.elapsed_ms = int((time.monotonic() - started) * 1000)
+            return report
+        SUITES[name] = run
+        MINIMUMS[name] = minimums
+        return run
+    return register
+
+
+@_suite("matrix-tree")
 def suite_matrix_tree(graphs: list[tuple[str, Multigraph, int | None]] | None = None,
                       seed: int = 0) -> Report:
     """Quotient dimension of the full parking ideal vs the truncated
     Laplacian determinant (the spanning-tree count)."""
-    started = time.monotonic()
     if graphs is None:
         graphs = default_graph_corpus(seed)
     report = Report("matrix-tree", {"graphs": len(graphs)}, seed)
-    for tid, (label, g, known) in enumerate(graphs):
-        inst = _graph_instance(g, label)
-        try:
-            dim = count_standard(parking_ideal(g))
-        except NonArtinianError as exc:
-            inst["error"] = str(exc)
-            report.trials.append(Trial(tid, inst, 0, 0, None, "eq", False))
-            continue
-        dt = det(laplacians(g).ltilde)
-        report.trials.append(_compare(tid, inst, dim, dt, known))
-    return _finish(report, started)
+    for label, g, known in graphs:
+        _count_vs_det(report, _graph_instance(g, label), parking_ideal(g),
+                      laplacians(g).ltilde, known)
+    return report
 
 
+@_suite("rc", n_max=1, a_max=1, b_max=1, trials=0)
 def suite_rc(n_max: int = 5, a_max: int = 3, b_max: int = 3,
              trials: int = 100, seed: int = 0) -> Report:
     """Dimension = determinant for root-deleted complete multigraphs:
     an exhaustive simple-graph grid checked three ways against the closed
     form, then seeded random root deletions."""
-    started = time.monotonic()
     report = Report("rc", {"n_max": n_max, "a_max": a_max, "b_max": b_max, "trials": trials}, seed)
-    tid = 0
     for n in range(2, n_max + 1):
         for r in range(0, n + 1):
             g = complete_minus_root_edges(n, r)
             dim = count_standard(skeleton_ideal(g, 1))
             dt = det(laplacians(g).qtilde)
             fo = root_deleted_signless_det(n, r)
-            report.trials.append(_compare(tid, _graph_instance(g, f"grid n={n} r={r}"), dim, dt, fo))
-            tid += 1
+            report.add(_graph_instance(g, f"grid n={n} r={r}"), dim, dt, fo)
     rng = SplitMix64(seed)
     for _ in range(trials):
         n = rng.randint(1, n_max)
@@ -312,66 +333,49 @@ def suite_rc(n_max: int = 5, a_max: int = 3, b_max: int = 3,
         b = rng.randint(1, b_max)
         g = random_root_deletion(n, a, b, rng.next_u64())
         inst = _graph_instance(g, f"root-deletion n={n} a={a} b={b}")
-        try:
-            dim = count_standard(_skel1(g))
-        except NonArtinianError as exc:
-            inst["error"] = str(exc)
-            report.trials.append(Trial(tid, inst, 0, 0, None, "eq", False))
-            tid += 1
-            continue
-        dt = det(laplacians(g).qtilde)
-        report.trials.append(_compare(tid, inst, dim, dt))
-        tid += 1
-    return _finish(report, started)
+        _count_vs_det(report, inst, _skel1(g), laplacians(g).qtilde)
+    return report
 
 
+@_suite("ineq", n_max=1, mult_max=1, trials=0)
 def suite_ineq(n_max: int = 5, mult_max: int = 3, trials: int = 200, seed: int = 0) -> Report:
     """Dimension >= determinant for arbitrary multigraphs, with the path
     on four vertices as a deterministic strict-inequality witness."""
-    started = time.monotonic()
     report = Report("ineq", {"n_max": n_max, "mult_max": mult_max, "trials": trials}, seed)
     p4 = path_graph(3)
     dim = count_standard(skeleton_ideal(p4, 1))
     dt = det(laplacians(p4).qtilde)
-    report.trials.append(_compare(0, _graph_instance(p4, "P4"), dim, dt, relation="geq"))
+    report.add(_graph_instance(p4, "P4"), dim, dt, relation="geq")
     rng = SplitMix64(seed)
-    for tid in range(1, trials + 1):
+    for _ in range(trials):
         n = rng.randint(1, n_max)
         g = random_multigraph(n, mult_max, rng.next_u64())
-        inst = _graph_instance(g, f"random n={n}")
-        try:
-            dim = count_standard(_skel1(g))
-        except NonArtinianError as exc:
-            inst["error"] = str(exc)
-            report.trials.append(Trial(tid, inst, 0, 0, None, "geq", False))
-            continue
-        dt = det(laplacians(g).qtilde)
-        report.trials.append(_compare(tid, inst, dim, dt, relation="geq"))
-    return _finish(report, started)
+        _count_vs_det(report, _graph_instance(g, f"random n={n}"), _skel1(g), laplacians(g).qtilde,
+                      relation="geq")
+    return report
 
 
+@_suite("mt", n_max=1, entry_max=1, trials=1)
 def suite_mt(n_max: int = 5, entry_max: int = 6, trials: int = 100, seed: int = 0) -> Report:
     """Dimension >= determinant for exactly-certified PSD matrices in the
     dominant class."""
-    started = time.monotonic()
     report = Report("mt", {"n_max": n_max, "entry_max": entry_max, "trials": trials}, seed)
     rng = SplitMix64(seed)
-    for tid in range(trials):
+    for _ in range(trials):
         n = rng.randint(1, n_max)
         h, attempts, strat = _random_dominant_psd(rng, n, entry_max)
         dim = count_standard(matrix_skeleton_ideal(h))
         dt = det(h)
         inst = _matrix_instance(h, f"psd n={n}", strategy=strat, attempts=attempts)
-        report.trials.append(_compare(tid, inst, dim, dt, relation="geq"))
-    return _finish(report, started)
+        report.add(inst, dim, dt, relation="geq")
+    return report
 
 
+@_suite("recurrence", n_max=1, a_max=2)
 def suite_recurrence(n_max: int = 5, a_max: int = 5) -> Report:
     """Exhaustive colon identity and dimension recurrence for the
     step-weight family, three-way against the alternating-sum closed form."""
-    started = time.monotonic()
     report = Report("recurrence", {"n_max": n_max, "a_max": a_max}, 0)
-    tid = 0
     for n in range(1, n_max + 1):
         for r in range(1, n + 1):
             for a in range(2, a_max + 1):
@@ -381,19 +385,14 @@ def suite_recurrence(n_max: int = 5, a_max: int = 5) -> Report:
                 x[n - r] = 1  # variable index n-r+1, 1-based
                 quot = colon(prev, tuple(x))
                 inst = {"label": f"colon n={n} r={r} a={a}", "n": n, "r": r, "a": a, "check": "colon"}
-                report.trials.append(_compare(
-                    tid, inst, count_standard(quot), count_standard(cur),
-                    passed=quot == cur))
-                tid += 1
+                report.add(inst, count_standard(quot), count_standard(cur), passed=quot == cur)
 
                 dims_cur = count_standard(cur)
                 dims_prev = count_standard(prev)
                 dims_small = count_standard(step_weight_ideal(n - 1, r - 1, a))
                 inst = {"label": f"recurrence n={n} r={r} a={a}", "n": n, "r": r, "a": a, "check": "recurrence"}
-                report.trials.append(_compare(
-                    tid, inst, dims_cur, dims_prev - dims_small, step_weight_dim(n, r, a)))
-                tid += 1
-    return _finish(report, started)
+                report.add(inst, dims_cur, dims_prev - dims_small, step_weight_dim(n, r, a))
+    return report
 
 
 def _find_pivot_permutation(h: IntMatrix) -> tuple[IntMatrix, int, int] | None:
@@ -411,6 +410,7 @@ def _find_pivot_permutation(h: IntMatrix) -> tuple[IntMatrix, int, int] | None:
     return None
 
 
+@_suite("decomp", trials=1)
 def suite_decomp(trials: int = 50, seed: int = 0) -> Report:
     """Determinant and dimension splitting identities.
 
@@ -427,10 +427,8 @@ def suite_decomp(trials: int = 50, seed: int = 0) -> Report:
           where H1 is the leading principal block through r with b at the
           pivot.
     """
-    started = time.monotonic()
     report = Report("decomp", {"trials": trials}, seed)
     rng = SplitMix64(seed)
-    tid = 0
     checked = 0
     attempts = 0
     while checked < trials and attempts < 20 * trials:
@@ -444,10 +442,8 @@ def suite_decomp(trials: int = 50, seed: int = 0) -> Report:
         if not rooted:
             # record the skip, then draw a replacement so every identity
             # still gets `trials` checked instances
-            report.trials.append(_skip(tid, {**base, "identity": "a"}, "no root edge"))
-            tid += 1
-            report.trials.append(_skip(tid, {**base, "identity": "b"}, "no root edge"))
-            tid += 1
+            report.skip({**base, "identity": "a"}, "no root edge")
+            report.skip({**base, "identity": "b"}, "no root edge")
             continue
         checked += 1
         j = rng.choice(rooted)
@@ -455,12 +451,10 @@ def suite_decomp(trials: int = 50, seed: int = 0) -> Report:
         g2 = merge_into_root(g, j)
         lhs = det(laplacians(g).qtilde)
         rhs = det(laplacians(g1).qtilde) + det(laplacians(g2).qtilde)
-        report.trials.append(_compare(tid, {**base, "identity": "a", "j": j}, lhs, rhs))
-        tid += 1
+        report.add({**base, "identity": "a", "j": j}, lhs, rhs)
         dim_lhs = count_standard(_skel1(g))
         dim_rhs = count_standard(_skel1(g1)) + count_standard(_skel1(g2))
-        report.trials.append(_compare(tid, {**base, "identity": "b", "j": j}, dim_lhs, dim_rhs))
-        tid += 1
+        report.add({**base, "identity": "b", "j": j}, dim_lhs, dim_rhs)
 
     checked = 0
     attempts = 0
@@ -471,10 +465,8 @@ def suite_decomp(trials: int = 50, seed: int = 0) -> Report:
         base = _matrix_instance(h, f"pivot-split n={n}", strategy=strat, attempts=gen_attempts)
         found = _find_pivot_permutation(h)
         if found is None:
-            report.trials.append(_skip(tid, {**base, "identity": "c"}, "no admissible permutation"))
-            tid += 1
-            report.trials.append(_skip(tid, {**base, "identity": "d"}, "no admissible permutation"))
-            tid += 1
+            report.skip({**base, "identity": "c"}, "no admissible permutation")
+            report.skip({**base, "identity": "d"}, "no admissible permutation")
             continue
         checked += 1
         hp, r, b = found
@@ -486,8 +478,7 @@ def suite_decomp(trials: int = 50, seed: int = 0) -> Report:
         t = matrix(t_rows)
         lhs = det(hp)
         rhs = (alpha - b) * det(h2) + det(t)
-        report.trials.append(_compare(tid, {**base, "identity": "c", "r": r, "b": b}, lhs, rhs))
-        tid += 1
+        report.add({**base, "identity": "c", "r": r, "b": b}, lhs, rhs)
         h1_rows = [list(row[: r + 1]) for row in hp.rows[: r + 1]]
         h1_rows[r][r] = b
         h1 = matrix(h1_rows)
@@ -497,9 +488,8 @@ def suite_decomp(trials: int = 50, seed: int = 0) -> Report:
         dim_lhs = count_standard(matrix_skeleton_ideal(hp))
         dim_rhs = (tail * count_standard(matrix_skeleton_ideal(h1))
                    + (alpha - b) * count_standard(matrix_skeleton_ideal(h2)))
-        report.trials.append(_compare(tid, {**base, "identity": "d", "r": r, "b": b}, dim_lhs, dim_rhs))
-        tid += 1
-    return _finish(report, started)
+        report.add({**base, "identity": "d", "r": r, "b": b}, dim_lhs, dim_rhs)
+    return report
 
 
 def _shuffled(rng: SplitMix64, items: list) -> list:
@@ -510,16 +500,15 @@ def _shuffled(rng: SplitMix64, items: list) -> list:
     return out
 
 
+@_suite("properties")
 def suite_properties(seed: int = 0) -> Report:
     """Cross-cutting consistency checks on a deterministic corpus:
     agreement of the three counting routes, Hadamard and Fischer bounds
     on PSD matrices, permutation invariance of dimensions and
     determinants, and skeleton monotonicity."""
-    started = time.monotonic()
     report = Report("properties", {}, seed)
     corpus = default_graph_corpus(seed)
     rng = SplitMix64(seed)
-    tid = 0
 
     ideals: list[tuple[str, MonomialIdeal]] = []
     for label, g, _ in corpus:
@@ -536,13 +525,9 @@ def suite_properties(seed: int = 0) -> Report:
         inst = {"label": f"oracle {label}", "check": "oracle-agreement", "nvars": ideal.nvars,
                 "generators": [list(g) for g in ideal.gens]}
         if len(ideal.gens) <= 22:
-            report.trials.append(_compare(tid, {**inst, "oracle": "inclusion-exclusion"},
-                                          walk, count_standard_ie(ideal)))
-            tid += 1
+            report.add({**inst, "oracle": "inclusion-exclusion"}, walk, count_standard_ie(ideal))
         if walk <= 100000:
-            report.trials.append(_compare(tid, {**inst, "oracle": "enumeration"},
-                                          walk, len(enumerate_standard(ideal))))
-            tid += 1
+            report.add({**inst, "oracle": "enumeration"}, walk, len(enumerate_standard(ideal)))
 
     psd_matrices: list[tuple[str, IntMatrix]] = []
     for label, g, _ in corpus:
@@ -558,20 +543,16 @@ def suite_properties(seed: int = 0) -> Report:
         inst = {"label": f"bounds {label}", "check": "hadamard-fischer",
                 "rows": [list(r) for r in m.rows]}
         if not is_psd(m):
-            report.trials.append(Trial(tid, {**inst, "error": "expected PSD"}, 0, 0, None, "eq", False))
-            tid += 1
+            report.add({**inst, "error": "expected PSD"}, 0, 0, passed=False)
             continue
         diag_prod = 1
         for i in range(m.order):
             diag_prod *= m[i][i]
-        report.trials.append(_compare(tid, {**inst, "bound": "hadamard"}, diag_prod, det(m), relation="geq"))
-        tid += 1
+        report.add({**inst, "bound": "hadamard"}, diag_prod, det(m), relation="geq")
         for k in range(1, m.order):
             a = principal_submatrix(m, range(k))
             c = principal_submatrix(m, range(k, m.order))
-            report.trials.append(_compare(tid, {**inst, "bound": f"fischer-{k}"},
-                                          det(a) * det(c), det(m), relation="geq"))
-            tid += 1
+            report.add({**inst, "bound": f"fischer-{k}"}, det(a) * det(c), det(m), relation="geq")
 
     for label, g, _ in corpus:
         if g.n < 2:
@@ -579,16 +560,12 @@ def suite_properties(seed: int = 0) -> Report:
         perm = _shuffled(rng, list(range(1, g.n + 1)))
         gp = relabel_vertices(g, perm)
         inst = {"label": f"relabel {label}", "check": "permutation-invariance", "perm": perm}
-        report.trials.append(_compare(tid, {**inst, "quantity": "skel1-dim"},
-                                      count_standard(skeleton_ideal(g, 1)),
-                                      count_standard(skeleton_ideal(gp, 1))))
-        tid += 1
-        report.trials.append(_compare(tid, {**inst, "quantity": "qtilde-det"},
-                                      det(laplacians(g).qtilde), det(laplacians(gp).qtilde)))
-        tid += 1
-        report.trials.append(_compare(tid, {**inst, "quantity": "ltilde-det"},
-                                      det(laplacians(g).ltilde), det(laplacians(gp).ltilde)))
-        tid += 1
+        report.add({**inst, "quantity": "skel1-dim"},
+                   count_standard(skeleton_ideal(g, 1)), count_standard(skeleton_ideal(gp, 1)))
+        report.add({**inst, "quantity": "qtilde-det"},
+                   det(laplacians(g).qtilde), det(laplacians(gp).qtilde))
+        report.add({**inst, "quantity": "ltilde-det"},
+                   det(laplacians(g).ltilde), det(laplacians(gp).ltilde))
 
     for label, g, _ in corpus:
         if g.n < 2 or g.n > 4:
@@ -596,18 +573,6 @@ def suite_properties(seed: int = 0) -> Report:
         counts = [count_standard(skeleton_ideal(g, k)) for k in range(g.n)]
         for k in range(g.n - 1):
             inst = {"label": f"monotone {label} k={k}", "check": "skeleton-monotonicity"}
-            report.trials.append(_compare(tid, inst, counts[k], counts[k + 1], relation="geq"))
-            tid += 1
+            report.add(inst, counts[k], counts[k + 1], relation="geq")
 
-    return _finish(report, started)
-
-
-SUITES = {
-    "matrix-tree": suite_matrix_tree,
-    "rc": suite_rc,
-    "ineq": suite_ineq,
-    "mt": suite_mt,
-    "recurrence": suite_recurrence,
-    "decomp": suite_decomp,
-    "properties": suite_properties,
-}
+    return report

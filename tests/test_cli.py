@@ -1,9 +1,14 @@
+import argparse
+import hashlib
+import inspect
 import json
+import re
 
 import pytest
 
-from parkdet.cli import main
+from parkdet.cli import build_parser, main
 from parkdet.multigraph import complete_multigraph, format_graph, graph_to_json
+from parkdet.suites import SUITES
 
 K4_TEXT = "3\n0 1 1\n0 2 1\n0 3 1\n1 2 1\n1 3 1\n2 3 1\n"
 
@@ -144,3 +149,73 @@ def test_malformed_graph_file_names_line(tmp_path, capsys):
 def test_missing_file_is_io_error(capsys):
     assert main(["dim", "--graph-file", "/nonexistent/file.txt"]) == 1
     assert "error" in capsys.readouterr().err
+
+
+# sha256 of `verify all --seed 0` JSON with every elapsed_ms set to 0; the
+# benchmark records the same digest in bench/answers/verify-all.json.
+VERIFY_ALL_SEED0_SHA256 = "4bd9c0bf0dc1a70acac725026048c7a3c3d4c8b79592a964e5e654cf8812d043"
+
+
+def test_verify_all_report_is_golden(tmp_path):
+    out = tmp_path / "all.json"
+    assert main(["verify", "all", "--seed", "0", "--out", str(out)]) == 0
+    masked = re.sub(rb'"elapsed_ms": \d+', b'"elapsed_ms": 0', out.read_bytes())
+    assert hashlib.sha256(masked).hexdigest() == VERIFY_ALL_SEED0_SHA256
+
+
+def _verify_flags() -> set[str]:
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    shared = {"help", "seed", "out", "graph_file", "format"}
+    return {a.dest for a in sub.choices["verify"]._actions if a.option_strings} - shared
+
+
+def test_suite_signatures_match_verify_flags():
+    flags = _verify_flags()
+    taken = set()
+    for name, fn in SUITES.items():
+        params = set(inspect.signature(fn).parameters) - {"seed", "graphs"}
+        assert params <= flags, name
+        taken |= params
+    assert taken == flags
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["decomp", "--trials", "-1"], "suite decomp needs --trials >= 1, got -1"),
+    (["decomp", "--trials", "0"], "suite decomp needs --trials >= 1, got 0"),
+    (["mt", "--trials", "0"], "suite mt needs --trials >= 1, got 0"),
+    (["recurrence", "--n", "0"], "suite recurrence needs --n-max >= 1, got 0"),
+    (["recurrence", "--a-max", "1"], "suite recurrence needs --a-max >= 2, got 1"),
+    (["rc", "--n", "0"], "suite rc needs --n-max >= 1, got 0"),
+    (["rc", "--a-max", "0"], "suite rc needs --a-max >= 1, got 0"),
+    (["rc", "--b-max", "0"], "suite rc needs --b-max >= 1, got 0"),
+    (["ineq", "--mult-max", "0"], "suite ineq needs --mult-max >= 1, got 0"),
+    (["mt", "--n", "0"], "suite mt needs --n-max >= 1, got 0"),
+    (["mt", "--entry-max", "-1"], "suite mt needs --entry-max >= 1, got -1"),
+    (["mt", "--entry-max", "0"], "suite mt needs --entry-max >= 1, got 0"),
+    (["matrix-tree", "--trials", "5"], "suite matrix-tree takes no --trials"),
+    (["decomp", "--n", "3"], "suite decomp takes no --n-max"),
+    (["all", "--a-max", "1"], "suite recurrence needs --a-max >= 2, got 1"),
+])
+def test_verify_rejects_bad_suite_parameters(argv, message, capsys):
+    assert main(["verify", *argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"usage error: {message}\n"
+
+
+def test_verify_parameters_at_their_minimums(capsys):
+    assert main(["verify", "mt", "--entry-max", "1", "--trials", "20"]) == 0
+    assert json.loads(capsys.readouterr().out)["summary"]["total"] == 20
+    assert main(["verify", "rc", "--n", "1", "--a-max", "1", "--b-max", "1", "--trials", "3"]) == 0
+    assert json.loads(capsys.readouterr().out)["summary"]["total"] == 3
+    assert main(["verify", "rc", "--n", "2", "--trials", "0"]) == 0
+    assert json.loads(capsys.readouterr().out)["summary"]["total"] == 3  # the grid n=2
+    assert main(["verify", "ineq", "--trials", "0"]) == 0
+    assert json.loads(capsys.readouterr().out)["summary"]["total"] == 1  # the P4 witness
+    assert main(["verify", "recurrence", "--n", "1", "--a-max", "2"]) == 0
+    assert json.loads(capsys.readouterr().out)["summary"]["total"] == 2
+    # verify all gives each flag to the suites that take it
+    assert main(["verify", "all", "--mult-max", "1", "--trials", "1", "--format", "text"]) == 0
+    out = capsys.readouterr().out
+    assert 'suite ineq  seed=0  params={"n_max": 5, "mult_max": 1, "trials": 1}' in out
+    assert 'suite recurrence  seed=0  params={"n_max": 5, "a_max": 5}' in out
