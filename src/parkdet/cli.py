@@ -44,7 +44,7 @@ from .multigraph import (
     laplacians,
     random_multigraph,
     random_root_deletion,
-    read_graph_file,
+    parse_graph,
 )
 from .standard_count import count_standard
 
@@ -66,6 +66,16 @@ def _ints(text: str, expect: int | None = None) -> tuple[int, ...]:
     if expect is not None and len(values) != expect:
         raise UsageError(f"expected {expect} integers, got {len(values)} in {text!r}")
     return values
+
+
+def _read(path: str, parse):
+    """Parse the file at `path`; a malformed file's error names it."""
+    with open(path, "r", encoding="utf-8") as fh:
+        text = fh.read()
+    try:
+        return parse(text)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _write_out(text: str, out: str | None):
@@ -148,7 +158,7 @@ def _resolve_ideal(args):
     if len(sources) != 1:
         raise UsageError("give exactly one of --graph-file, --lambda-seq, --step, --matrix-file")
     if args.graph_file:
-        g = read_graph_file(args.graph_file)
+        g = _read(args.graph_file, parse_graph)
         if args.skeleton is not None:
             return skeleton_ideal(g, args.skeleton)
         return parking_ideal(g)
@@ -157,8 +167,7 @@ def _resolve_ideal(args):
     if args.step:
         n, r, a = _ints(args.step, 3)
         return step_weight_ideal(n, r, a)
-    with open(args.matrix_file, "r", encoding="utf-8") as fh:
-        return matrix_skeleton_ideal(matrix_from_json(fh.read()))
+    return matrix_skeleton_ideal(_read(args.matrix_file, matrix_from_json))
 
 
 def _cmd_gen(args) -> int:
@@ -189,11 +198,9 @@ def _cmd_dim(args) -> int:
 
 def _cmd_det(args) -> int:
     if args.matrix_file:
-        with open(args.matrix_file, "r", encoding="utf-8") as fh:
-            m = matrix_from_json(fh.read())
+        m = _read(args.matrix_file, matrix_from_json)
     elif args.graph_file:
-        g = read_graph_file(args.graph_file)
-        m = getattr(laplacians(g), args.matrix)
+        m = getattr(laplacians(_read(args.graph_file, parse_graph)), args.matrix)
     else:
         raise UsageError("give --graph-file or --matrix-file")
     _write_out(str(det(m)) + "\n", args.out)
@@ -261,6 +268,9 @@ def _cmd_verify(args) -> int:
     names = sorted(suites_mod.SUITES) if args.suite == "all" else [args.suite]
     kwargs = _suite_kwargs(names, args)
     reports = [suites_mod.SUITES[name](**kw) for name, kw in zip(names, kwargs)]
+    for r in reports:
+        if not r.trials:
+            raise ValueError(f"suite {r.suite} ran 0 trials")
     if args.format == "json":
         if len(reports) == 1:
             text = reports[0].to_json() + "\n"

@@ -11,6 +11,7 @@ No floats appear anywhere.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -40,9 +41,25 @@ class IntMatrix:
         return all(r[i][j] == r[j][i] for i in range(n) for j in range(i + 1, n))
 
 
-def matrix(rows: Iterable[Iterable[int]]) -> IntMatrix:
-    """Build an IntMatrix from any nested iterable of ints."""
-    return IntMatrix(tuple(tuple(int(x) for x in row) for row in rows))
+_DECIMAL = re.compile(r"[+-]?[0-9]+")
+
+
+def parse_int(value, where: str) -> int:
+    """`value` as an int, if it is an int or a string of decimal digits
+    with an optional sign. Anything else (bool, float, "1.5", "") raises
+    ValueError naming `where` and the value."""
+    if type(value) is int:
+        return value
+    if type(value) is str and _DECIMAL.fullmatch(value):
+        return int(value)
+    raise ValueError(f"{where}: expected an integer, got {value!r}")
+
+
+def matrix(rows: Iterable[Iterable[int | str]]) -> IntMatrix:
+    """Build an IntMatrix from any nested iterable of ints or decimal
+    strings (see `parse_int`)."""
+    return IntMatrix(tuple(tuple(x if type(x) is int else parse_int(x, f"matrix entry ({i}, {j})")
+                                 for j, x in enumerate(row)) for i, row in enumerate(rows)))
 
 
 def identity(n: int) -> IntMatrix:
@@ -219,6 +236,6 @@ def matrix_to_json(m: IntMatrix) -> str:
 
 def matrix_from_json(text: str) -> IntMatrix:
     data = json.loads(text)
-    if not isinstance(data, list):
+    if not isinstance(data, list) or not all(isinstance(row, list) for row in data):
         raise ValueError("matrix JSON must be an array of rows")
     return matrix(data)

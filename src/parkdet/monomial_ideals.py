@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable
 
-from .exact_linalg import IntMatrix, has_dominant_diagonal
+from .exact_linalg import IntMatrix, has_dominant_diagonal, parse_int
 from .multigraph import Multigraph, _check_subset, degree_outside
 
 Monomial = tuple[int, ...]
@@ -53,8 +53,8 @@ class MonomialIdeal:
         for g in self.gens:
             if len(g) != self.nvars:
                 raise ValueError(f"generator {g} has {len(g)} exponents, expected {self.nvars}")
-            if any(e < 0 for e in g):
-                raise ValueError(f"negative exponent in generator {g}")
+            if not all(type(e) is int and e >= 0 for e in g):  # type, not isinstance: bool is rejected
+                raise ValueError(f"exponents must be nonnegative ints, got generator {g}")
         object.__setattr__(self, "gens", _minimalize(self.gens))
 
     @property
@@ -214,4 +214,6 @@ def ideal_to_json(ideal: MonomialIdeal) -> str:
 
 def ideal_from_json(text: str) -> MonomialIdeal:
     data = json.loads(text)
-    return MonomialIdeal(int(data["nvars"]), tuple(tuple(int(e) for e in g) for g in data["generators"]))
+    gens = tuple(tuple(parse_int(e, f"ideal JSON generator {k}") for e in g)
+                 for k, g in enumerate(data["generators"]))
+    return MonomialIdeal(parse_int(data["nvars"], "ideal JSON nvars"), gens)

@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
-from .exact_linalg import IntMatrix, matrix
+from .exact_linalg import IntMatrix, matrix, parse_int
 from .rng import SplitMix64
 
 
@@ -214,7 +214,9 @@ def parse_graph(text: str) -> Multigraph:
         if not isinstance(data, dict) or "n" not in data or "adj" not in data:
             raise GraphFormatError('graph JSON needs keys "n" and "adj"')
         try:
-            return Multigraph(int(data["n"]), tuple(tuple(int(x) for x in row) for row in data["adj"]))
+            adj = tuple(tuple(parse_int(x, f"adj[{i}][{j}]") for j, x in enumerate(row))
+                        for i, row in enumerate(data["adj"]))
+            return Multigraph(parse_int(data["n"], "n"), adj)
         except (TypeError, ValueError) as exc:
             raise GraphFormatError(f"invalid graph JSON: {exc}") from exc
 
@@ -264,8 +266,3 @@ def format_graph(g: Multigraph) -> str:
 
 def graph_to_json(g: Multigraph) -> str:
     return json.dumps({"n": g.n, "adj": [list(row) for row in g.adj]})
-
-
-def read_graph_file(path: str) -> Multigraph:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_graph(fh.read())

@@ -1,14 +1,20 @@
 """Counting and enumerating standard monomials of Artinian quotients.
 
 A monomial ideal is Artinian here when every variable carries a pure
-power generator; the pure-power exponents bound the search box. The
-primary counter walks that box coordinate by coordinate, dropping a
-whole subtree as soon as some generator divides the current prefix (the
-two innermost coordinates are folded into closed-form staircase counts,
-which visits the same tree without the leaf-level Python loop). An
-independent inclusion-exclusion counter over generator subsets serves as
-a cross-check oracle, and brute-force parking predicates give a third,
-ideal-free route for the graph and sequence cases.
+power generator. The counter splits the quotient into slices by the
+exponent p of x_1: the slice at p is the ideal, in the other variables,
+of the generators with g[0] <= p. It is constant between consecutive
+values of g[0], so each run of equal slices is counted once, and the
+slices are counted recursively down to closed-form two-variable
+staircases. Slice counts are memoized within a call, keyed by a normal
+form under permuting the variables, since permuting variables keeps the
+quotient dimension (the divide-and-conquer step of the Hilbert-series
+algorithms of Bayer-Stillman and Bigatti).
+
+Three routes independent of the counter check it: an inclusion-exclusion
+count over generator subsets, the enumerator, which walks the box of
+pure-power exponents point by point, and brute-force parking predicates
+for the graph and sequence cases.
 
 Dimensions are monomial counts, so they are field independent; all
 results are Python ints (arbitrary precision).
@@ -19,7 +25,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Iterable
 
-from .monomial_ideals import Monomial, MonomialIdeal
+from .monomial_ideals import Monomial, MonomialIdeal, _minimalize
 from .multigraph import Multigraph
 
 ENUMERATION_GUARD = 10**6
@@ -52,63 +58,39 @@ def artinian_bounds(ideal: MonomialIdeal) -> tuple[int, ...]:
 def count_standard(ideal: MonomialIdeal) -> int:
     """Number of monomials outside the ideal (the quotient dimension)."""
     bounds = artinian_bounds(ideal)
-    n = ideal.nvars
-    if n == 0:
-        return 0 if ideal.gens else 1
     if ideal.is_unit:
         return 0
-    return _walk_count(list(ideal.gens), bounds, 0)
+    if ideal.nvars <= 1:
+        return bounds[0] if bounds else 1
+    return _slice_count(ideal.gens, {})
 
 
-def _walk_count(active: list[Monomial], bounds: tuple[int, ...], depth: int) -> int:
-    """Count standard monomials extending the current prefix.
+def _slice_count(gens: tuple[Monomial, ...], memo: dict) -> int:
+    """Standard monomials of the Artinian, non-unit ideal minimally
+    generated by `gens`, summed over the slices x_1 = p.
 
-    `active` holds the generators compatible with the prefix so far
-    (g[i] <= p[i] for all assigned coordinates i < depth).
+    The slice at p is the ideal of the generators with g[0] <= p, with x_1
+    dropped; it only changes at the cuts, the distinct values of g[0], the
+    largest of which is x_1's pure power. `memo` maps a normal form under
+    permuting the variables (columns sorted, then rows) to its count.
     """
-    n = len(bounds)
-    remaining = n - depth
-    if remaining == 1:
-        cap = bounds[depth]
-        for g in active:
-            if g[depth] < cap:
-                cap = g[depth]
-        return cap
-    if remaining == 2:
-        return _staircase2(active, depth, bounds[depth], bounds[depth + 1])
-
-    total = 0
-    order = sorted(active, key=lambda g: g[depth])
-    idx = 0
-    current: list[Monomial] = []
-    for p in range(bounds[depth]):
-        while idx < len(order) and order[idx][depth] <= p:
-            g = order[idx]
-            idx += 1
-            if all(e == 0 for e in g[depth + 1:]):
-                return total  # g divides the prefix: this p and every later one is inside
-            current.append(g)
-        total += _walk_count(current, bounds, depth + 1)
-    return total
+    if len(gens[0]) == 2:
+        return _staircase2(gens)
+    key = tuple(sorted(zip(*sorted(zip(*gens)))))
+    if key not in memo:
+        cuts = sorted({g[0] for g in gens})
+        memo[key] = sum((hi - lo) * _slice_count(_minimalize(g[1:] for g in gens if g[0] <= lo), memo)
+                        for lo, hi in zip(cuts, cuts[1:]))
+    return memo[key]
 
 
-def _staircase2(active: list[Monomial], depth: int, b1: int, b2: int) -> int:
-    """Standard pairs (p, q) in a b1 x b2 box avoiding the upper-right
-    quadrants of the active generators' last two exponents."""
-    pairs = sorted((g[depth], g[depth + 1]) for g in active)
-    total = 0
-    cap = b2
-    idx = 0
-    for p in range(b1):
-        while idx < len(pairs) and pairs[idx][0] <= p:
-            v = pairs[idx][1]
-            if v < cap:
-                cap = v
-            idx += 1
-        if cap == 0:
-            break
-        total += cap
-    return total
+def _staircase2(gens: tuple[Monomial, ...]) -> int:
+    """Standard pairs (p, q) of a two-variable Artinian ideal. Sorted, its
+    minimal generators run from x_2's pure power (0, b2) down to x_1's
+    (b1, 0), and every p from one generator to the next has the same
+    number of standard q."""
+    pairs = sorted(gens)
+    return sum((nxt[0] - cur[0]) * cur[1] for cur, nxt in zip(pairs, pairs[1:]))
 
 
 def count_standard_ie(ideal: MonomialIdeal) -> int:

@@ -521,13 +521,13 @@ def suite_properties(seed: int = 0) -> Report:
         ideals.append((f"step({n},{r},{a})", step_weight_ideal(n, r, a)))
 
     for label, ideal in ideals:
-        walk = count_standard(ideal)
+        dim = count_standard(ideal)
         inst = {"label": f"oracle {label}", "check": "oracle-agreement", "nvars": ideal.nvars,
                 "generators": [list(g) for g in ideal.gens]}
         if len(ideal.gens) <= 22:
-            report.add({**inst, "oracle": "inclusion-exclusion"}, walk, count_standard_ie(ideal))
-        if walk <= 100000:
-            report.add({**inst, "oracle": "enumeration"}, walk, len(enumerate_standard(ideal)))
+            report.add({**inst, "oracle": "inclusion-exclusion"}, dim, count_standard_ie(ideal))
+        if dim <= 100000:
+            report.add({**inst, "oracle": "enumeration"}, dim, len(enumerate_standard(ideal)))
 
     psd_matrices: list[tuple[str, IntMatrix]] = []
     for label, g, _ in corpus:

@@ -146,6 +146,32 @@ def test_malformed_graph_file_names_line(tmp_path, capsys):
     assert "line 3" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, name, text, message", [
+    (["dim", "--graph-file"], "g.json", '{"n":1,"adj":[[0,1.7],[1.7,0]]}',
+     "invalid graph JSON: adj[0][1]: expected an integer, got 1.7"),
+    (["det", "--graph-file"], "g.json", '{"n":1,"adj":[[0,1.7],[1.7,0]]}',
+     "invalid graph JSON: adj[0][1]: expected an integer, got 1.7"),
+    (["det", "--matrix-file"], "m.json", '[[true, 0], [0, 1]]',
+     "matrix entry (0, 0): expected an integer, got True"),
+    (["dim", "--matrix-file"], "m.json", '[["2", "1"], ["1", "2.0"]]',
+     "matrix entry (1, 1): expected an integer, got '2.0'"),
+])
+def test_non_integer_json_input_exits_1(tmp_path, capsys, argv, name, text, message):
+    path = tmp_path / name
+    path.write_text(text)
+    assert main([*argv, str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path}: {message}\n"
+
+
+def test_verify_zero_trials_is_an_error(capsys):
+    assert main(["verify", "rc", "--n", "1", "--trials", "0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: suite rc ran 0 trials\n"
+
+
 def test_missing_file_is_io_error(capsys):
     assert main(["dim", "--graph-file", "/nonexistent/file.txt"]) == 1
     assert "error" in capsys.readouterr().err

@@ -15,6 +15,7 @@ from parkdet.exact_linalg import (
     matrix,
     matrix_from_json,
     matrix_to_json,
+    parse_int,
     principal_submatrix,
     transpose,
 )
@@ -128,3 +129,20 @@ def test_json_round_trip():
     text = matrix_to_json(QT_K4)
     assert json.loads(text) == [["3", "1", "1"], ["1", "3", "1"], ["1", "1", "3"]]
     assert matrix_from_json(text) == QT_K4
+
+
+def test_parse_int_accepts_ints_and_decimal_strings():
+    assert [parse_int(v, "x") for v in (7, -3, "12", "-4", "+5")] == [7, -3, 12, -4, 5]
+
+
+@pytest.mark.parametrize("bad", [True, False, 1.0, 1.7, "1.5", "2.0", "", "1e3", " 1", None])
+def test_parse_int_rejects_non_integers(bad):
+    with pytest.raises(ValueError, match="where: expected an integer"):
+        parse_int(bad, "where")
+
+
+@pytest.mark.parametrize("text", ['[[true, 0], [0, 1]]', '[[1.7, 0], [0, 1]]', '[["1.5", "0"], ["0", "1"]]',
+                                  '[1, 2]'])
+def test_matrix_json_rejects_non_integers(text):
+    with pytest.raises(ValueError):
+        matrix_from_json(text)

@@ -189,6 +189,25 @@ def test_validation():
         ideal(2, [(-1, 0)])
 
 
+@pytest.mark.parametrize("bad", [1.5, 2.0, True, "2"])
+def test_non_integer_exponents_rejected(bad):
+    gen = (bad, 0, 0)
+    with pytest.raises(ValueError) as err:
+        MonomialIdeal(3, (gen, (0, 2, 0), (0, 0, 2)))
+    assert str(gen) in str(err.value)
+
+
+@pytest.mark.parametrize("text", [
+    '{"nvars": 2, "generators": [["1.5", "0"], ["0", "1"]]}',
+    '{"nvars": 2, "generators": [[1.5, 0], [0, 1]]}',
+    '{"nvars": 2, "generators": [[true, 0], [0, 1]]}',
+    '{"nvars": 2.0, "generators": [["1", "0"], ["0", "1"]]}',
+])
+def test_ideal_json_rejects_non_integers(text):
+    with pytest.raises(ValueError, match="ideal JSON"):
+        ideal_from_json(text)
+
+
 def test_dump_formats():
     i = skeleton_ideal(K3, 1)
     assert ideal_to_text(i) == "0 2\n1 1\n2 0\n"

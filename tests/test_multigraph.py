@@ -177,3 +177,15 @@ def test_text_format_errors_name_the_line(bad, fragment):
     with pytest.raises(GraphFormatError) as err:
         parse_graph(bad)
     assert fragment in str(err.value)
+
+
+@pytest.mark.parametrize("text, fragment", [
+    ('{"n": 1, "adj": [[0, 1.7], [1.7, 0]]}', "adj[0][1]"),
+    ('{"n": 1, "adj": [[0, true], [true, 0]]}', "adj[0][1]"),
+    ('{"n": 1, "adj": [[0, "1.5"], ["1.5", 0]]}', "adj[0][1]"),
+    ('{"n": 1.0, "adj": [[0, 1], [1, 0]]}', "n: expected an integer"),
+])
+def test_graph_json_rejects_non_integers(text, fragment):
+    with pytest.raises(GraphFormatError) as err:
+        parse_graph(text)
+    assert fragment in str(err.value)

@@ -19,6 +19,7 @@ from parkdet.multigraph import (
     random_multigraph,
 )
 from parkdet.exact_linalg import det
+from parkdet.formulas import skeleton1_dim_complete
 from parkdet.standard_count import (
     NonArtinianError,
     count_lambda_parking,
@@ -108,12 +109,15 @@ def brute_count(gens, nvars):
 
 @st.composite
 def artinian_ideals(draw):
-    n = draw(st.integers(min_value=1, max_value=4))
-    pure = [draw(st.integers(min_value=1, max_value=5)) for _ in range(n)]
+    # above four variables the exponents stay below 4, so the box stays
+    # small for brute_count and the slices repeat, which the memo sees
+    n = draw(st.integers(min_value=1, max_value=6))
+    top = 5 if n <= 4 else 3
+    pure = [draw(st.integers(min_value=1, max_value=top)) for _ in range(n)]
     gens = [tuple(pure[i] if j == i else 0 for j in range(n)) for i in range(n)]
     extra = draw(st.lists(
-        st.tuples(*[st.integers(min_value=0, max_value=5)] * n),
-        min_size=0, max_size=5))
+        st.tuples(*[st.integers(min_value=0, max_value=top)] * n),
+        min_size=0, max_size=6))
     return MonomialIdeal(n, tuple(gens) + tuple(extra))
 
 
@@ -123,6 +127,26 @@ def test_three_counting_routes_agree(i):
     assert walk == count_standard_ie(i)
     assert walk == brute_count(i.gens, i.nvars)
     assert walk == len(enumerate_standard(i))
+
+
+@given(artinian_ideals(), st.data())
+def test_count_is_invariant_under_permuting_variables(i, data):
+    perm = data.draw(st.permutations(range(i.nvars)))
+    permuted = MonomialIdeal(i.nvars, tuple(tuple(g[k] for k in perm) for g in i.gens))
+    assert count_standard(permuted) == count_standard(i)
+
+
+@pytest.mark.parametrize("n, a, b", [(8, 1, 1), (8, 2, 3), (9, 2, 1)])
+def test_count_complete_multigraph_skeleton(n, a, b):
+    # 10^7 to 10^10 standard monomials, far past any point-by-point
+    # route; the closed form is an independent one
+    g = complete_multigraph(n, a, b)
+    assert count_standard(skeleton_ideal(g, 1)) == skeleton1_dim_complete(n, a, b)
+
+
+def test_count_parking_ideal_of_k8():
+    # 9^7 spanning trees of the complete graph on 9 vertices (Cayley)
+    assert count_standard(parking_ideal(complete_multigraph(8, 1, 1))) == 9 ** 7
 
 
 def test_lambda_parking_examples():
@@ -160,6 +184,15 @@ def test_matrix_tree_cross_check():
     for seed in range(4):
         g = random_multigraph(4, 2, seed=seed)
         assert count_standard(parking_ideal(g)) == det(laplacians(g).ltilde)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_matrix_tree_at_six_vertices(seed):
+    # slices of these ideals repeat up to permuting the variables, so the
+    # memo is hit; a memo key that also merged non-equivalent slices
+    # fails here (seeds 0, 2 and 4)
+    g = random_multigraph(6, 3, seed=seed)
+    assert count_standard(parking_ideal(g)) == det(laplacians(g).ltilde)
 
 
 def test_skeleton_monotonicity():
