@@ -15,7 +15,7 @@ import json
 import sys
 
 from . import suites as suites_mod
-from .exact_linalg import det, matrix_from_json
+from .exact_linalg import det, matrix_from_json, parse_int
 from .formulas import (
     FormulaDomainError,
     flat_parking_count,
@@ -58,13 +58,13 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _ints(text: str, expect: int | None = None) -> tuple[int, ...]:
+def _ints(text: str, flag: str, expect: int | None = None) -> tuple[int, ...]:
     try:
-        values = tuple(int(x) for x in text.replace(",", " ").split())
+        values = tuple(parse_int(x, flag) for x in text.replace(",", " ").split())
     except ValueError:
-        raise UsageError(f"expected comma-separated integers, got {text!r}")
+        raise UsageError(f"{flag}: expected comma-separated integers, got {text!r}") from None
     if expect is not None and len(values) != expect:
-        raise UsageError(f"expected {expect} integers, got {len(values)} in {text!r}")
+        raise UsageError(f"{flag}: expected {expect} integers, got {len(values)} in {text!r}")
     return values
 
 
@@ -163,9 +163,9 @@ def _resolve_ideal(args):
             return skeleton_ideal(g, args.skeleton)
         return parking_ideal(g)
     if args.lambda_seq:
-        return lambda_ideal(_ints(args.lambda_seq))
+        return lambda_ideal(_ints(args.lambda_seq, "--lambda-seq"))
     if args.step:
-        n, r, a = _ints(args.step, 3)
+        n, r, a = _ints(args.step, "--step", 3)
         return step_weight_ideal(n, r, a)
     return matrix_skeleton_ideal(_read(args.matrix_file, matrix_from_json))
 
@@ -210,24 +210,24 @@ def _cmd_det(args) -> int:
 def _cmd_formulas(args) -> int:
     values: dict[str, str] = {}
     if args.parking:
-        n, a, b = _ints(args.parking, 3)
+        n, a, b = _ints(args.parking, "--parking", 3)
         values["parking_dim_complete"] = str(parking_dim_complete(n, a, b))
     if args.skel1:
-        n, a, b = _ints(args.skel1, 3)
+        n, a, b = _ints(args.skel1, "--skel1", 3)
         values["skeleton1_dim_complete"] = str(skeleton1_dim_complete(n, a, b))
     if args.qdet:
-        n, r = _ints(args.qdet, 2)
+        n, r = _ints(args.qdet, "--qdet", 2)
         values["root_deleted_signless_det"] = str(root_deleted_signless_det(n, r))
     if args.step_dim:
-        n, r, a = _ints(args.step_dim, 3)
+        n, r, a = _ints(args.step_dim, "--step-dim", 3)
         values["step_weight_dim"] = str(step_weight_dim(n, r, a))
     if args.steck:
-        values["steck_count"] = str(steck_count(_ints(args.steck)))
+        values["steck_count"] = str(steck_count(_ints(args.steck, "--steck")))
     if args.flat:
-        l, x = _ints(args.flat, 2)
+        l, x = _ints(args.flat, "--flat", 2)
         values["flat_parking_count"] = str(flat_parking_count(l, x))
     if args.identity:
-        n, a = _ints(args.identity, 2)
+        n, a = _ints(args.identity, "--identity", 2)
         values["step_weight_identity_holds"] = str(step_weight_identity_holds(n, a)).lower()
     if not values:
         raise UsageError("no formula selected")

@@ -231,18 +231,18 @@ def parse_graph(text: str) -> Multigraph:
             if len(fields) != 1:
                 raise GraphFormatError(f"line {lineno}: expected the vertex count n alone")
             try:
-                n = int(fields[0])
-            except ValueError:
-                raise GraphFormatError(f"line {lineno}: n is not an integer") from None
+                n = parse_int(fields[0], f"line {lineno}: n")
+            except ValueError as exc:
+                raise GraphFormatError(str(exc)) from None
             if n < 1:
                 raise GraphFormatError(f"line {lineno}: n must be >= 1")
             continue
         if len(fields) != 3:
             raise GraphFormatError(f"line {lineno}: expected 'i j m'")
         try:
-            i, j, m = (int(f) for f in fields)
-        except ValueError:
-            raise GraphFormatError(f"line {lineno}: non-integer field") from None
+            i, j, m = (parse_int(f, f"line {lineno}: field {k}") for k, f in enumerate(fields, start=1))
+        except ValueError as exc:
+            raise GraphFormatError(str(exc)) from None
         if not (0 <= i < j <= n):
             raise GraphFormatError(f"line {lineno}: need 0 <= i < j <= {n}")
         if m < 1:

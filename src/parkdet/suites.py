@@ -270,7 +270,7 @@ def _random_dominant_psd(rng: SplitMix64, n: int, entry_max: int,
             continue
         if has_dominant_diagonal(h) and is_psd(h):
             return h, attempt, strat
-    raise RuntimeError(f"no admissible PSD instance found in {max_attempts} attempts (n={n}, entry_max={entry_max})")
+    raise ValueError(f"no admissible PSD instance found in {max_attempts} attempts (n={n}, entry_max={entry_max})")
 
 
 # --- suites -------------------------------------------------------------------

@@ -165,6 +165,32 @@ def test_non_integer_json_input_exits_1(tmp_path, capsys, argv, name, text, mess
     assert captured.err == f"error: {path}: {message}\n"
 
 
+def test_non_ascii_integers_exit_1(tmp_path, capsys):
+    path = tmp_path / "g.txt"
+    path.write_text("2\n0 1 1_0\n0 2 \u0661\n1 2 1\n")
+    assert main(["dim", "--graph-file", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path}: line 2: field 3: expected an integer, got '1_0'\n"
+    assert main(["dim", "--lambda-seq", "1_0,2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "usage error: --lambda-seq: expected comma-separated integers, got '1_0,2'\n"
+
+
+def test_psd_generator_exhaustion_exits_1(monkeypatch, capsys):
+    from functools import partial
+
+    from parkdet import suites as suites_mod
+
+    monkeypatch.setattr(suites_mod, "_random_dominant_psd",
+                        partial(suites_mod._random_dominant_psd, max_attempts=0))
+    assert main(["verify", "mt", "--trials", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: no admissible PSD instance found in 0 attempts (n=")
+
+
 def test_verify_zero_trials_is_an_error(capsys):
     assert main(["verify", "rc", "--n", "1", "--trials", "0"]) == 1
     captured = capsys.readouterr()

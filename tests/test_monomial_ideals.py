@@ -8,6 +8,7 @@ from parkdet.monomial_ideals import (
     adjoin_power,
     boundary_monomial,
     colon,
+    divides,
     ideal_from_json,
     ideal_to_json,
     ideal_to_text,
@@ -18,6 +19,7 @@ from parkdet.monomial_ideals import (
     step_weight_ideal,
 )
 from parkdet.multigraph import (
+    Multigraph,
     complete_minus_root_edges,
     complete_multigraph,
     from_edges,
@@ -59,6 +61,64 @@ def test_skeleton_ideal_examples():
 def test_parking_ideal_is_top_skeleton():
     g = random_multigraph(4, 2, seed=2)
     assert parking_ideal(g) == skeleton_ideal(g, g.n - 1)
+
+
+@st.composite
+def multigraphs(draw):
+    """Multigraphs with n <= 7 whose pairs are often absent, so that
+    disconnected graphs occur; some have every root edge removed."""
+    n = draw(st.integers(min_value=1, max_value=7))
+    mult = st.sampled_from([0, 0, 0, 1, 2])
+    adj = [[0] * (n + 1) for _ in range(n + 1)]
+    for i in range(n + 1):
+        for j in range(i + 1, n + 1):
+            adj[i][j] = adj[j][i] = draw(mult)
+    if draw(st.booleans()):
+        for j in range(1, n + 1):
+            adj[0][j] = adj[j][0] = 0
+    return Multigraph(n, tuple(tuple(row) for row in adj))
+
+
+@given(multigraphs())
+def test_parking_ideal_from_connected_cuts_matches_candidates(g):
+    ideal = parking_ideal(g)
+    assert ideal == skeleton_ideal(g, g.n - 1)
+    if not any(g.adj[0]):
+        assert ideal.is_unit
+
+
+def test_parking_ideal_of_disconnected_graph_is_unit():
+    # vertex 3 is isolated; the rest is connected
+    g = from_edges(3, [(0, 1, 1), (1, 2, 2)])
+    assert parking_ideal(g) == ideal(3, [(0, 0, 0)])
+    # no root edges at all
+    assert parking_ideal(from_edges(2, [(1, 2, 1)])).is_unit
+
+
+def cycle(n):
+    return from_edges(n, [(i, i + 1, 1) for i in range(n)] + [(0, n, 1)])
+
+
+def wheel(n):
+    """Hub 0 joined to every vertex of the rim cycle 1..n."""
+    rim = [(i, i + 1, 1) for i in range(1, n)] + [(1, n, 1)]
+    return from_edges(n, [(0, i, 1) for i in range(1, n + 1)] + rim)
+
+
+@pytest.mark.parametrize("n", [4, 11, 13])
+def test_parking_ideal_generator_counts(n):
+    # a connected cut of the cycle is an arc of the path 1..n; of the
+    # wheel (root as hub), an arc of the rim or the whole rim
+    assert len(parking_ideal(cycle(n)).gens) == n * (n + 1) // 2
+    assert len(parking_ideal(wheel(n)).gens) == n * (n - 1) + 1
+
+
+def test_divides():
+    assert divides((1, 2, 0), (1, 2, 0))
+    assert divides((0, 2, 0), (1, 2, 3))
+    assert not divides((1, 2, 3), (0, 2, 0))
+    assert not divides((2, 0), (0, 2)) and not divides((0, 2), (2, 0))
+    assert divides((), ())
 
 
 def test_skeleton_nesting():
@@ -206,6 +266,19 @@ def test_non_integer_exponents_rejected(bad):
 def test_ideal_json_rejects_non_integers(text):
     with pytest.raises(ValueError, match="ideal JSON"):
         ideal_from_json(text)
+
+
+@pytest.mark.parametrize("text, fragment", [
+    ('{"nvars": 2}', '"nvars" and "generators"'),
+    ('{"generators": []}', '"nvars" and "generators"'),
+    ('[1, 2]', '"nvars" and "generators"'),
+    ('{"nvars": 2, "generators": [1, 2]}', "list of lists"),
+    ('{"nvars": 2, "generators": {"0": [1, 0]}}', "list of lists"),
+])
+def test_ideal_json_rejects_wrong_shape(text, fragment):
+    with pytest.raises(ValueError, match="ideal JSON") as err:
+        ideal_from_json(text)
+    assert fragment in str(err.value)
 
 
 def test_dump_formats():

@@ -180,6 +180,17 @@ def test_text_format_errors_name_the_line(bad, fragment):
 
 
 @pytest.mark.parametrize("text, fragment", [
+    ("2\n0 1 1_0\n0 2 1\n1 2 1\n", "line 2: field 3: expected an integer, got '1_0'"),
+    ("2\n0 1 1\n0 2 \u0661\n1 2 1\n", "line 3: field 3: expected an integer, got '\u0661'"),
+    ("\u0662\n0 1 1\n", "line 1: n: expected an integer"),
+])
+def test_text_format_integers_are_ascii_decimal(text, fragment):
+    with pytest.raises(GraphFormatError) as err:
+        parse_graph(text)
+    assert fragment in str(err.value)
+
+
+@pytest.mark.parametrize("text, fragment", [
     ('{"n": 1, "adj": [[0, 1.7], [1.7, 0]]}', "adj[0][1]"),
     ('{"n": 1, "adj": [[0, true], [true, 0]]}', "adj[0][1]"),
     ('{"n": 1, "adj": [[0, "1.5"], ["1.5", 0]]}', "adj[0][1]"),
