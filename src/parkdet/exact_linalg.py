@@ -3,9 +3,11 @@
 Everything here is certified arithmetic: determinants come from
 fraction-free (Bareiss) elimination over Python ints, the characteristic
 polynomial from the Faddeev-LeVerrier recurrence (all divisions exact),
-and positive semidefiniteness is decided from the signs of the
-characteristic coefficients rather than from floating-point eigenvalues.
-No floats appear anywhere.
+and positive semidefiniteness is decided by symmetric fraction-free
+elimination on positive diagonal pivots rather than from floating-point
+eigenvalues. No floats appear anywhere. `char_poly` and `det_cofactor`
+share no code with `is_psd` and `det`, so the tests use them as
+independent routes.
 """
 
 from __future__ import annotations
@@ -179,23 +181,51 @@ def char_poly(m: IntMatrix) -> CharPoly:
 
 
 def is_psd(m: IntMatrix) -> bool:
-    """Exact positive-semidefiniteness test for symmetric integer matrices.
+    """Exact positive-semidefiniteness test for symmetric integer matrices,
+    by fraction-free (Bareiss) elimination on diagonal pivots.
 
-    Writing det(xI - M) = x^n - e1 x^{n-1} + e2 x^{n-2} - ..., the matrix
-    is PSD iff every e_k >= 0: a symmetric matrix has all-real spectrum,
-    and with all e_k >= 0 the polynomial has no negative root (its value
-    at -t for t > 0 is (-1)^n times a sum of nonnegative terms including
-    t^n), while any negative e_k forces a negative elementary symmetric
-    function of the eigenvalues.
+    Each step looks at the remaining matrix A. A negative diagonal entry,
+    or a zero diagonal entry with a nonzero entry in its row, is a
+    negative 1x1 or 2x2 principal minor, so A is not PSD. All-zero rows
+    and their columns are dropped, which keeps PSD-ness either way. Then
+    some positive diagonal entry p = a_kk is the pivot, and every other
+    entry becomes (a_ij*p - a_ik*a_kj) // prev, prev being the previous
+    pivot (1 at the start). The matrix is PSD iff nothing is left.
+
+    Every division is exact: by Sylvester's identity, after pivoting on
+    the principal set S (in any order) the entry at (i, j) is the minor
+    det M[S+i, S+j], and prev = det M[S] divides the next numerator.
+    Every step keeps PSD-ness: the new matrix is (p/prev) times the Schur
+    complement A/a_kk, with p, prev > 0, and for a_kk > 0 the matrix A is
+    PSD iff A/a_kk is.
     """
     if not m.is_symmetric():
         raise ValueError("is_psd requires a symmetric matrix")
-    cp = char_poly(m)
-    n = m.order
-    for k in range(1, n + 1):
-        e_k = cp.coeffs[n - k] if k % 2 == 0 else -cp.coeffs[n - k]
-        if e_k < 0:
-            return False
+    a = [list(row) for row in m.rows]
+    prev = 1
+    while a:
+        live = []
+        for i, row in enumerate(a):
+            if row[i] < 0:
+                return False
+            if row[i]:
+                live.append(i)
+            elif any(row):
+                return False
+        if not live:
+            return True
+        k, rest = live[0], live[1:]
+        pivot_row = a[k]
+        p = pivot_row[k]
+        # the next matrix is symmetric too: compute its upper triangle only
+        size = len(rest)
+        b = [[0] * size for _ in range(size)]
+        for x, i in enumerate(rest):
+            row, f, bx = a[i], a[i][k], b[x]
+            for y in range(x, size):
+                j = rest[y]
+                bx[y] = b[y][x] = (row[j] * p - f * pivot_row[j]) // prev
+        a, prev = b, p
     return True
 
 

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from parkdet import exact_linalg
 from parkdet.exact_linalg import (
     char_poly,
     det,
@@ -19,6 +20,7 @@ from parkdet.exact_linalg import (
     principal_submatrix,
     transpose,
 )
+from parkdet.multigraph import complete_multigraph, laplacians
 
 QT_K4 = matrix([[3, 1, 1], [1, 3, 1], [1, 1, 3]])
 LT_K4 = matrix([[3, -1, -1], [-1, 3, -1], [-1, -1, 3]])
@@ -103,6 +105,76 @@ def test_is_psd_rejects_asymmetric():
 @given(small_matrices(order_max=4, entry=3))
 def test_gram_matrices_are_psd(b):
     assert is_psd(matmul(transpose(b), b))
+
+
+def psd_by_char_poly(m):
+    # independent oracle: with det(xI - M) = x^n - e1 x^{n-1} + e2 x^{n-2}
+    # - ..., a symmetric M is PSD iff every e_k >= 0
+    coeffs = char_poly(m).coeffs
+    n = m.order
+    return all((-1) ** k * coeffs[n - k] >= 0 for k in range(1, n + 1))
+
+
+def int_rows(r, n, entry):
+    return st.lists(st.lists(st.integers(min_value=-entry, max_value=entry), min_size=n, max_size=n),
+                    min_size=r, max_size=r)
+
+
+@st.composite
+def symmetric_matrices(draw, kind):
+    n = draw(st.integers(min_value=2 if kind == "zero-diagonal" else 1, max_value=7))
+    if kind == "deficient-gram":
+        # B^T B for an r x n matrix B with r < n: PSD and singular
+        b = draw(int_rows(draw(st.integers(min_value=0, max_value=n - 1)), n, 3))
+        return matrix([[sum(row[i] * row[j] for row in b) for j in range(n)] for i in range(n)])
+    a = draw(int_rows(n, n, 4))
+    s = [[a[i][j] + a[j][i] for j in range(n)] for i in range(n)]
+    if kind == "zero-diagonal":
+        # s_ii = 0 with s_ij != 0: the principal minor on {i, j} is negative
+        i = draw(st.integers(min_value=0, max_value=n - 1))
+        j = draw(st.sampled_from([j for j in range(n) if j != i]))
+        s[i][i] = 0
+        s[i][j] = s[j][i] = s[i][j] or 1
+    return matrix(s)
+
+
+@pytest.mark.parametrize("kind", ["deficient-gram", "symmetrized", "zero-diagonal"])
+@given(data=st.data())
+def test_is_psd_matches_char_poly_oracle(kind, data):
+    m = data.draw(symmetric_matrices(kind))
+    assert is_psd(m) == psd_by_char_poly(m)
+    if kind == "deficient-gram":
+        assert is_psd(m)
+    if kind == "zero-diagonal":
+        assert not is_psd(m)
+
+
+def test_is_psd_at_order_40():
+    qt = laplacians(complete_multigraph(40, 3, 2)).qtilde
+    assert qt.order == 40 and is_psd(qt)
+    # as in the psd-certify benchmark: m_ij = m_ji = m_ii + m_jj + 1 makes
+    # the principal minor on {i, j} negative
+    rows = [list(row) for row in qt.rows]
+    rows[5][31] = rows[31][5] = rows[5][5] + rows[31][31] + 1
+    assert not is_psd(matrix(rows))
+
+
+def test_is_psd_edge_cases():
+    assert is_psd(matrix([]))
+    assert not is_psd(matrix([[-1]]))
+    assert not is_psd(matrix([[0, 1], [1, 0]]))
+    assert is_psd(matrix([[0] * 5 for _ in range(5)]))
+
+
+def test_is_psd_does_not_call_char_poly(monkeypatch):
+    # keeps char_poly an independent oracle for is_psd
+    def refuse(m):
+        raise AssertionError("is_psd called char_poly")
+
+    monkeypatch.setattr(exact_linalg, "char_poly", refuse)
+    assert is_psd(QT_K4)
+    assert not is_psd(matrix([[1, 2], [2, 1]]))
+    assert is_psd(matrix([[1, 1, 0], [1, 1, 0], [0, 0, 0]]))
 
 
 def test_dominant_class_examples():

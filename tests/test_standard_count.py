@@ -1,4 +1,4 @@
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given
@@ -163,6 +163,33 @@ def test_g_parking_examples():
     assert is_g_parking(K4, (0, 0, 0))
     with pytest.raises(ValueError):
         is_g_parking(K3, (0, 1, 2))
+
+
+def g_parking_by_subsets(g, p):
+    # the definition, as an oracle for Dhar's burning algorithm: every
+    # nonempty set A of non-root vertices holds an i with p_i below its
+    # number of edges leaving A
+    verts = range(1, g.n + 1)
+    for size in range(1, g.n + 1):
+        for a in combinations(verts, size):
+            if all(p[i - 1] >= sum(g.adj[i][j] for j in range(g.n + 1) if j not in a) for i in a):
+                return False
+    return True
+
+
+BURNING_GRAPHS = [
+    *(random_multigraph(n, 1, seed) for n in range(1, 6) for seed in range(3)),
+    *(random_multigraph(n, 2, seed) for n in range(1, 5) for seed in range(2)),
+    P4,
+    from_edges(4, [(0, 1, 2), (1, 2, 1), (3, 4, 1)]),  # {3, 4} never burns
+]
+
+
+@pytest.mark.parametrize("g", BURNING_GRAPHS)
+def test_burning_matches_subset_scan(g):
+    degs = g.degrees()
+    box = product(*(range(degs[i] + 1) for i in range(1, g.n + 1)))
+    assert all(is_g_parking(g, p) == g_parking_by_subsets(g, p) for p in box)
 
 
 @pytest.mark.parametrize("seed", range(4))
