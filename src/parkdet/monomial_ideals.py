@@ -9,9 +9,10 @@ family, and the skeleton-type ideal attached to a symmetric integer
 matrix with dominant diagonal.
 
 `parking_ideal` builds its generators from the connected cuts of the
-graph only; `skeleton_ideal` takes the boundary monomial of every
-candidate subset, so `skeleton_ideal(g, g.n - 1)` is an independent
-route to the same ideal.
+graph only, enumerating the connected sets of non-root vertices instead
+of scanning all 2^n subsets; `skeleton_ideal` takes the boundary
+monomial of every candidate subset, so `skeleton_ideal(g, g.n - 1)` is
+an independent route to the same ideal.
 """
 
 from __future__ import annotations
@@ -107,10 +108,17 @@ def parking_ideal(g: Multigraph) -> MonomialIdeal:
     have no edge to V - A'). Any component A1 of G|A' has an edge to
     V - A', so V - A1 is connected, and m_A1 divides m_A'. So every
     m_A is a multiple of a kept one.
+
+    The connected sets A of G - root are grown from a frontier: a set
+    whose least vertex is v starts as {v} with every vertex below v
+    excluded, and each frontier vertex w is either added, with its
+    neighbours joining the frontier, or excluded from the sets grown
+    after it. So every connected A is produced exactly once, and the work
+    follows their number (O(n^2) on a cycle) rather than 2^n.
     """
-    n = g.n
+    n, adj = g.n, g.adj
     # bit v stands for vertex v; bit 0 is the root
-    nbr = [sum(1 << j for j in range(n + 1) if g.adj[v][j]) for v in range(n + 1)]
+    nbr = [sum(1 << j for j in range(n + 1) if adj[v][j]) for v in range(n + 1)]
     full = (1 << (n + 1)) - 1
 
     def connected(mask: int) -> bool:
@@ -125,9 +133,23 @@ def parking_ideal(g: Multigraph) -> MonomialIdeal:
 
     if not connected(full):
         return MonomialIdeal(n, ((0,) * n,))
-    gens = [boundary_monomial(g, [i for i in range(1, n + 1) if a >> i & 1])
-            for a in range(2, full + 1, 2)  # the masks of the nonempty A: root bit clear
-            if connected(a) and connected(full ^ a)]
+    gens = []
+    # (A, frontier, excluded): the excluded mask holds the root, A, the
+    # frontier and every vertex already decided against
+    stack = [(1 << v, nbr[v] & ~low, nbr[v] | low)
+             for v in range(1, n + 1) for low in [(2 << v) - 1]]
+    while stack:
+        a, frontier, excluded = stack.pop()
+        rest = full ^ a
+        if connected(rest):
+            outside = [j for j in range(n + 1) if rest >> j & 1]
+            gens.append(tuple(sum(adj[i][j] for j in outside) if a >> i & 1 else 0
+                              for i in range(1, n + 1)))
+        while frontier:
+            w = frontier & -frontier
+            frontier ^= w
+            grown = nbr[w.bit_length() - 1]
+            stack.append((a | w, frontier | grown & ~excluded, excluded | grown))
     return MonomialIdeal(n, tuple(gens))
 
 

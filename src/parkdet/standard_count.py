@@ -6,10 +6,12 @@ exponent p of x_1: the slice at p is the ideal, in the other variables,
 of the generators with g[0] <= p. It is constant between consecutive
 values of g[0], so each run of equal slices is counted once, and the
 slices are counted recursively down to closed-form two-variable
-staircases. Slice counts are memoized within a call, keyed by a normal
-form under permuting the variables, since permuting variables keeps the
-quotient dimension (the divide-and-conquer step of the Hilbert-series
-algorithms of Bayer-Stillman and Bigatti).
+staircases. Each slice comes from the previous one by dropping what the
+new generators divide, which keeps it minimally generated without a
+minimalization pass. Slice counts are memoized within a call, keyed by
+a normal form under permuting the variables, since permuting variables
+keeps the quotient dimension (the divide-and-conquer step of the
+Hilbert-series algorithms of Bayer-Stillman and Bigatti).
 
 Three routes independent of the counter check it: an inclusion-exclusion
 count over generator subsets, the enumerator, which walks the box of
@@ -22,9 +24,11 @@ results are Python ints (arbitrary precision).
 
 from __future__ import annotations
 
+from itertools import groupby
+from operator import itemgetter, le
 from typing import Iterable
 
-from .monomial_ideals import Monomial, MonomialIdeal, _minimalize
+from .monomial_ideals import Monomial, MonomialIdeal
 from .multigraph import Multigraph
 
 ENUMERATION_GUARD = 10**6
@@ -72,14 +76,30 @@ def _slice_count(gens: tuple[Monomial, ...], memo: dict) -> int:
     dropped; it only changes at the cuts, the distinct values of g[0], the
     largest of which is x_1's pure power. `memo` maps a normal form under
     permuting the variables (columns sorted, then rows) to its count.
+
+    The slices are built in one pass over the generators grouped by g[0]:
+    at each cut, the kept projections that a new projection g[1:] divides
+    are dropped and the new ones appended. Because `gens` is minimal, this
+    leaves each slice minimally generated with no further check: two
+    generators with equal g[0] project to incomparable monomials, and a
+    projection h[1:] with h[0] < g[0] never divides g[1:], since h would
+    then divide g. So each slice handed down is minimal again.
     """
     if len(gens[0]) == 2:
         return _staircase2(gens)
     key = tuple(sorted(zip(*sorted(zip(*gens)))))
     if key not in memo:
-        cuts = sorted({g[0] for g in gens})
-        memo[key] = sum((hi - lo) * _slice_count(_minimalize(g[1:] for g in gens if g[0] <= lo), memo)
-                        for lo, hi in zip(cuts, cuts[1:]))
+        total = lo = 0
+        kept: list[Monomial] = []
+        for cut, group in groupby(sorted(gens), key=itemgetter(0)):
+            if kept:  # the slice of the previous cut holds up to this one
+                total += (cut - lo) * _slice_count(tuple(kept), memo)
+            new = [g[1:] for g in group]
+            for g in new:
+                kept = [h for h in kept if not all(map(le, g, h))]
+            kept += new
+            lo = cut
+        memo[key] = total
     return memo[key]
 
 
@@ -166,16 +186,6 @@ def enumerate_standard(ideal: MonomialIdeal) -> list[Monomial]:
 
     rec(0, list(ideal.gens))
     return out
-
-
-def write_standard(ideal: MonomialIdeal, path: str) -> int:
-    """Stream the enumeration to a file, one exponent vector per line;
-    returns the count."""
-    monomials = enumerate_standard(ideal)
-    with open(path, "w", encoding="utf-8") as fh:
-        for m in monomials:
-            fh.write(" ".join(str(e) for e in m) + "\n")
-    return len(monomials)
 
 
 def is_lambda_parking(p: Iterable[int], lam: tuple[int, ...]) -> bool:

@@ -105,12 +105,33 @@ def wheel(n):
     return from_edges(n, [(0, i, 1) for i in range(1, n + 1)] + rim)
 
 
-@pytest.mark.parametrize("n", [4, 11, 13])
+@pytest.mark.parametrize("n", [4, 11, 13, 19])
 def test_parking_ideal_generator_counts(n):
     # a connected cut of the cycle is an arc of the path 1..n; of the
     # wheel (root as hub), an arc of the rim or the whole rim
     assert len(parking_ideal(cycle(n)).gens) == n * (n + 1) // 2
     assert len(parking_ideal(wheel(n)).gens) == n * (n - 1) + 1
+
+
+def star(n, centre):
+    return from_edges(n, [(min(v, centre), max(v, centre), 1) for v in range(n + 1) if v != centre])
+
+
+CUT_SHAPES = {
+    # G - root is disconnected: no connected cut spans both triangles
+    "root-as-cut-vertex": from_edges(4, [(0, 1, 1), (0, 2, 1), (1, 2, 1), (0, 3, 1), (0, 4, 1), (3, 4, 1)]),
+    # the root is a leaf: every connected cut must contain the centre
+    # or be a single leaf
+    "star-rooted-at-leaf": star(5, 1),
+    "path-rooted-at-end": from_edges(5, [(i, i + 1, 1) for i in range(5)]),
+    "edge-of-multiplicity-3": from_edges(4, [(0, 1, 1), (1, 2, 3), (2, 3, 1), (0, 3, 2), (3, 4, 1), (2, 4, 1)]),
+}
+
+
+@pytest.mark.parametrize("shape", CUT_SHAPES)
+def test_parking_ideal_cut_shapes(shape):
+    g = CUT_SHAPES[shape]
+    assert parking_ideal(g) == skeleton_ideal(g, g.n - 1)
 
 
 def test_divides():

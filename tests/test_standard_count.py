@@ -4,8 +4,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import parkdet.standard_count as standard_count
 from parkdet.monomial_ideals import (
     MonomialIdeal,
+    _minimalize,
     lambda_ideal,
     parking_ideal,
     skeleton_ideal,
@@ -28,7 +30,6 @@ from parkdet.standard_count import (
     enumerate_standard,
     is_g_parking,
     is_lambda_parking,
-    write_standard,
 )
 
 K3 = complete_multigraph(2, 1, 1)
@@ -80,13 +81,6 @@ def test_enumeration_is_sorted_and_complete():
     assert all(m not in i for m in monomials)
 
 
-def test_write_standard(tmp_path):
-    path = tmp_path / "basis.txt"
-    n = write_standard(parking_ideal(K3), str(path))
-    assert n == 3
-    assert path.read_text() == "0 0\n0 1\n1 0\n"
-
-
 def test_zero_variable_quotients():
     assert count_standard(MonomialIdeal(0, ())) == 1
     assert count_standard(MonomialIdeal(0, ((),))) == 0
@@ -129,6 +123,22 @@ def test_three_counting_routes_agree(i):
     assert walk == len(enumerate_standard(i))
 
 
+@given(artinian_ideals())
+def test_every_slice_is_minimally_generated(i):
+    # the counter keeps a slice minimal only by filtering the previous
+    # one; the recursion looks up the module's _slice_count, so every
+    # slice passes through the wrapper
+    original = standard_count._slice_count
+
+    def checked(gens, memo):
+        assert sorted(gens) == list(_minimalize(gens))
+        return original(gens, memo)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(standard_count, "_slice_count", checked)
+        assert count_standard(i) == count_standard_ie(i)
+
+
 @given(artinian_ideals(), st.data())
 def test_count_is_invariant_under_permuting_variables(i, data):
     perm = data.draw(st.permutations(range(i.nvars)))
@@ -147,6 +157,20 @@ def test_count_complete_multigraph_skeleton(n, a, b):
 def test_count_parking_ideal_of_k8():
     # 9^7 spanning trees of the complete graph on 9 vertices (Cayley)
     assert count_standard(parking_ideal(complete_multigraph(8, 1, 1))) == 9 ** 7
+
+
+def test_count_parking_ideal_of_k10():
+    # 10^8 (Cayley), from 1023 generators in 9 variables
+    assert count_standard(parking_ideal(complete_multigraph(9, 1, 1))) == 10 ** 8
+
+
+def test_count_parking_ideal_of_the_19_cycle():
+    # 190 generators, one per arc of the path 1..19; past the reach of
+    # skeleton_ideal, which takes 2^19 - 1 subsets
+    g = from_edges(19, [(i, i + 1, 1) for i in range(19)] + [(0, 19, 1)])
+    cycle_ideal = parking_ideal(g)
+    assert len(cycle_ideal.gens) == 190
+    assert count_standard(cycle_ideal) == 20
 
 
 def test_lambda_parking_examples():
