@@ -91,11 +91,10 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0)
     common.add_argument("--out", default=None, help="write output to this path instead of stdout")
-    common.add_argument("--graph-file", default=None, help="graph in text or JSON format")
 
     p = sub.add_parser("gen", parents=[common], help="generate an instance graph")
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--kind", choices=["complete", "complete-minus", "random", "root-deletion"],
                    required=True)
     p.add_argument("--n", type=int, required=True)
@@ -116,6 +115,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_dim)
 
     p = sub.add_parser("det", parents=[common], help="exact determinant")
+    p.add_argument("--graph-file", default=None, help="graph in text or JSON format")
     p.add_argument("--matrix", choices=["l", "q", "ltilde", "qtilde"], default="qtilde")
     p.add_argument("--matrix-file", default=None, help="JSON matrix (rows of decimal strings)")
     p.set_defaults(func=_cmd_det)
@@ -133,6 +133,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("verify", parents=[common], help="run a verification suite")
     p.add_argument("suite", choices=sorted(suites_mod.SUITES) + ["all"])
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--n", "--n-max", dest="n_max", type=int, default=None)
     p.add_argument("--a-max", type=int, default=None)
     p.add_argument("--b-max", type=int, default=None)
@@ -146,8 +147,8 @@ def build_parser() -> _Parser:
 
 
 def _add_ideal_source(p: argparse.ArgumentParser):
-    p.add_argument("--skeleton", type=int, default=None, help="skeleton order k (with --graph-file)")
-    p.add_argument("--parking", action="store_true", help="full parking ideal (default with --graph-file)")
+    p.add_argument("--graph-file", default=None, help="graph in text or JSON format")
+    p.add_argument("--skeleton", type=int, default=None, help="skeleton order k (needs --graph-file)")
     p.add_argument("--lambda-seq", metavar="l1,l2,...", default=None)
     p.add_argument("--step", metavar="n,r,a", default=None)
     p.add_argument("--matrix-file", default=None, help="dominant-class matrix (JSON rows)")
@@ -157,6 +158,8 @@ def _resolve_ideal(args):
     sources = [s for s in (args.graph_file, args.lambda_seq, args.step, args.matrix_file) if s]
     if len(sources) != 1:
         raise UsageError("give exactly one of --graph-file, --lambda-seq, --step, --matrix-file")
+    if args.skeleton is not None and not args.graph_file:
+        raise UsageError("--skeleton needs --graph-file")
     if args.graph_file:
         g = _read(args.graph_file, parse_graph)
         if args.skeleton is not None:
@@ -246,7 +249,7 @@ def _suite_kwargs(names: list[str], args) -> list[dict]:
     """Keyword arguments for each named suite: the verify flags its
     signature takes. Every value is checked against the suite's minimums
     before any suite runs; a single suite rejects a flag it does not take
-    (--seed, shared by all subcommands, excepted)."""
+    (--seed excepted: recurrence is exhaustive and ignores it)."""
     signatures = {name: inspect.signature(fn).parameters for name, fn in suites_mod.SUITES.items()}
     given = {p: v for params in signatures.values() for p in params
              if (v := getattr(args, p, None)) is not None}

@@ -2,10 +2,14 @@
 expressions for quotient dimensions and truncated signless Laplacian
 determinants.
 
-All evaluation is exact rational arithmetic (fractions.Fraction) with a
-final integrality assertion wherever an integer is claimed, so "easily
-verified" algebra becomes a machine check. Conventions used by the
-degenerate parameter edges are documented on each function.
+All evaluation is exact. Closed forms whose value is always an integer
+stay in Python ints; fractions.Fraction appears only where a value is
+rational (the Steck matrix and polynomials, and
+`root_deleted_signless_det` at r = n), with an integrality assertion
+wherever an integer is claimed. `steck_count` is the `exact_linalg.det`
+of an integer rescaling of the Steck matrix; the other closed forms stay
+independent of `det`, which they are checked against. Conventions used
+by the degenerate parameter edges are documented on each function.
 """
 
 from __future__ import annotations
@@ -14,17 +18,22 @@ from fractions import Fraction
 from math import comb, factorial
 from typing import Sequence
 
+from .exact_linalg import IntMatrix, det
+
 
 class FormulaDomainError(ValueError):
     """Parameter combination outside a formula's domain."""
 
 
 def _check_lambda(lam: Sequence[int]) -> tuple[int, ...]:
-    lam = tuple(int(x) for x in lam)
-    n = len(lam)
-    if n == 0:
-        raise FormulaDomainError("empty sequence")
-    if any(lam[i] < lam[i + 1] for i in range(n - 1)) or lam[-1] < 1:
+    """lam as a tuple of ints, nonincreasing and >= 1. Entries that are
+    not ints (bools included) are rejected, not coerced. The empty
+    sequence passes: each caller has its own rule for it."""
+    lam = tuple(lam)
+    for x in lam:
+        if type(x) is not int:  # type, not isinstance: bool is rejected
+            raise FormulaDomainError(f"sequence entries must be ints, got {x!r} in {lam}")
+    if any(lam[i] < lam[i + 1] for i in range(len(lam) - 1)) or (lam and lam[-1] < 1):
         raise FormulaDomainError(f"sequence must be nonincreasing and >= 1, got {lam}")
     return lam
 
@@ -33,6 +42,8 @@ def steck_matrix(lam: Sequence[int]) -> list[list[Fraction]]:
     """Upper-Hessenberg Steck matrix: entry (i, j) is
     lam[n-i]^(j-i+1) / (j-i+1)! for i <= j+1 (1-based), else 0."""
     lam = _check_lambda(lam)
+    if not lam:
+        raise FormulaDomainError("empty sequence")
     n = len(lam)
     rows = []
     for i in range(1, n + 1):
@@ -47,26 +58,6 @@ def steck_matrix(lam: Sequence[int]) -> list[list[Fraction]]:
     return rows
 
 
-def _det_rational(rows: list[list[Fraction]]) -> Fraction:
-    m = [row[:] for row in rows]
-    n = len(m)
-    sign = 1
-    result = Fraction(1)
-    for c in range(n):
-        pivot = next((r for r in range(c, n) if m[r][c]), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != c:
-            m[c], m[pivot] = m[pivot], m[c]
-            sign = -sign
-        result *= m[c][c]
-        for r in range(c + 1, n):
-            f = m[r][c] / m[c][c]
-            for k in range(c, n):
-                m[r][k] -= f * m[c][k]
-    return sign * result
-
-
 def _as_int(value: Fraction, what: str) -> int:
     if value.denominator != 1:
         raise ArithmeticError(f"{what} evaluated to non-integer {value}")
@@ -75,13 +66,20 @@ def _as_int(value: Fraction, what: str) -> int:
 
 def steck_count(lam: Sequence[int]) -> int:
     """n! times the Steck determinant: the number of vectors whose sorted
-    rearrangement stays strictly below the reversed sequence."""
-    lam = _check_lambda(lam)
-    n = len(lam)
-    value = factorial(n) * _det_rational(steck_matrix(lam))
-    result = _as_int(value, f"steck_count{lam}")
+    rearrangement stays strictly below the reversed sequence.
+
+    Multiplying column j of the Steck matrix by j! and dividing row i by
+    (i-1)! (1-based) scales the determinant by exactly n! and leaves the
+    integer C(j, i-1) lam[n-i]^(j-i+1) at (i, j), so the count is the
+    `det` of that integer matrix."""
+    rows = steck_matrix(lam)
+    what = f"steck_count{tuple(lam)}"
+    scaled = IntMatrix(tuple(tuple(_as_int(x * factorial(j) / factorial(i), what)
+                                   for j, x in enumerate(row, 1))
+                             for i, row in enumerate(rows)))
+    result = det(scaled)
     if result < 0:
-        raise ArithmeticError(f"steck_count{lam} evaluated negative: {result}")
+        raise ArithmeticError(f"{what} evaluated negative: {result}")
     return result
 
 
@@ -128,32 +126,25 @@ def _check_nab(n: int, a: int, b: int):
         raise FormulaDomainError(f"need n, a, b >= 1, got ({n}, {a}, {b})")
 
 
-def _pow_frac(base: Fraction | int, exp: int) -> Fraction:
-    # 0^0 = 1; negative exponents only reach nonzero bases here
-    if exp == 0:
-        return Fraction(1)
-    return Fraction(base) ** exp
-
-
 def root_deleted_signless_det(n: int, r: int) -> int:
     """Determinant of the truncated signless Laplacian of the complete
     simple graph on n+1 vertices with r root edges removed:
 
         (n-1)^(n-r-1) * [ (2n-1)(n-2)^r + r(n-2)^(r-1) ]
 
-    evaluated in exact rationals with the conventions 0^0 = 1, the second
-    bracket term vanishing at r = 0, and the leading factor becoming the
-    rational (n-1)^(-1) at r = n. The final value is asserted to be a
-    nonnegative integer.
+    evaluated exactly with the conventions 0^0 = 1, the second bracket
+    term vanishing at r = 0, and the leading factor becoming the rational
+    (n-1)^(-1) at r = n, the one value that is not an integer. The final
+    value is asserted to be a nonnegative integer.
     """
     if n < 2:
         raise FormulaDomainError(f"n must be >= 2, got {n}")
     if not 0 <= r <= n:
         raise FormulaDomainError(f"r must lie in [0, {n}], got {r}")
-    lead = _pow_frac(n - 1, n - r - 1)
-    bracket = (2 * n - 1) * _pow_frac(n - 2, r)
+    lead = Fraction(n - 1) ** (n - r - 1)
+    bracket = (2 * n - 1) * (n - 2) ** r
     if r > 0:
-        bracket += r * _pow_frac(n - 2, r - 1)
+        bracket += r * (n - 2) ** (r - 1)
     value = lead * bracket
     result = _as_int(value, f"root_deleted_signless_det({n}, {r})")
     if result < 0:
@@ -161,14 +152,12 @@ def root_deleted_signless_det(n: int, r: int) -> int:
     return result
 
 
-def _theta(l: int, x: Fraction | int) -> Fraction:
-    """x^(l-1)(x+l) as a rational function value; l = 0 simplifies to 1
-    (x^(-1) * x) and 0^0 counts as 1."""
+def _theta(l: int, x: int) -> int:
+    """x^(l-1)(x+l) in the simplified rational-function form: l = 0 gives
+    1 (x^(-1) * x), and 0^0 counts as 1."""
     if l < 0:
         raise FormulaDomainError(f"l must be >= 0, got {l}")
-    if l == 0:
-        return Fraction(1)
-    return _pow_frac(x, l - 1) * (Fraction(x) + l)
+    return x ** (l - 1) * (x + l) if l else 1
 
 
 def step_weight_dim(n: int, r: int, a: int) -> int:
@@ -179,18 +168,13 @@ def step_weight_dim(n: int, r: int, a: int) -> int:
         raise FormulaDomainError(f"r must lie in [0, {n}], got {r}")
     if a < 2:
         raise FormulaDomainError(f"a must be >= 2, got {a}")
-    x = a - 1
-    total = sum(
-        (-1) ** i * comb(r, i) * _theta(n - i, x)
-        for i in range(r + 1)
-    )
-    return _as_int(total, f"step_weight_dim({n}, {r}, {a})")
+    return sum((-1) ** i * comb(r, i) * _theta(n - i, a - 1) for i in range(r + 1))
 
 
 def step_weight_identity_holds(n: int, a: int) -> bool:
     """Check the combinatorial identity
     (a-2)^(n-1)(a+n-2) = sum_i (-1)^i C(n, i) (a-1)^(n-i-1)(a+n-i-1)
-    exactly in rationals. a = 1 is excluded: the last summand is then the
+    exactly in integers. a = 1 is excluded: the last summand is then the
     indeterminate 0^(-1) * 0. Both sides are evaluated in the simplified
     rational-function form (the l = 0 term is 1)."""
     if n < 0:

@@ -4,9 +4,10 @@ A monomial is an exponent tuple; an ideal keeps its minimal generators
 only (minimalization is applied eagerly by the constructor). The zero
 monomial as a generator denotes the unit ideal. Constructors cover the
 parking-function ideal of a rooted multigraph, its k-skeleton subideals,
-the ideal of a nonincreasing exponent sequence, a two-level weight
-family, and the skeleton-type ideal attached to a symmetric integer
-matrix with dominant diagonal.
+the ideal of a nonincreasing exponent sequence, and the skeleton-type
+ideal J_H attached to a symmetric integer matrix H with dominant
+diagonal. The two-level step-weight family of the colon recurrence is
+J_H of a weight matrix, built by `matrix_skeleton_ideal` too.
 
 `parking_ideal` builds its generators from the connected cuts of the
 graph only, enumerating the connected sets of non-root vertices instead
@@ -24,6 +25,7 @@ from operator import le
 from typing import Iterable
 
 from .exact_linalg import IntMatrix, has_dominant_diagonal, parse_int
+from .formulas import _check_lambda
 from .multigraph import Multigraph, _check_subset, degree_outside
 
 Monomial = tuple[int, ...]
@@ -155,12 +157,11 @@ def parking_ideal(g: Multigraph) -> MonomialIdeal:
 
 def lambda_ideal(lam: tuple[int, ...]) -> MonomialIdeal:
     """For each nonempty subset A, the product of its variables raised to
-    lam[|A|-1]; lam must be nonincreasing and positive."""
+    lam[|A|-1]; lam must be a nonempty nonincreasing sequence of ints >= 1."""
+    lam = _check_lambda(lam)
     n = len(lam)
     if n == 0:
         raise ValueError("empty exponent sequence")
-    if any(lam[i] < lam[i + 1] for i in range(n - 1)) or lam[-1] < 1:
-        raise ValueError(f"sequence must be nonincreasing and >= 1, got {lam}")
     gens = []
     for size in range(1, n + 1):
         e = lam[size - 1]
@@ -172,49 +173,18 @@ def lambda_ideal(lam: tuple[int, ...]) -> MonomialIdeal:
     return MonomialIdeal(n, tuple(gens))
 
 
-@dataclass(frozen=True)
-class StepWeight:
-    """Weight a on the first n-r variables, a-1 on the remaining r."""
-
-    n: int
-    r: int
-    a: int
-
-    def __post_init__(self):
-        if not 0 <= self.r <= self.n:
-            raise ValueError(f"r must lie in [0, {self.n}], got {self.r}")
-        low = self.a if self.r == 0 else self.a - 1
-        if low < 1:
-            raise ValueError(f"weights must stay >= 1: n={self.n}, r={self.r}, a={self.a}")
-
-    def of(self, i: int) -> int:
-        if not 1 <= i <= self.n:
-            raise ValueError(f"variable index {i} out of range")
-        return self.a if i <= self.n - self.r else self.a - 1
-
-
 def step_weight_ideal(n: int, r: int, a: int) -> MonomialIdeal:
-    """Pure powers x_i^w(i) plus all cross products x_i^{w(i)-1} x_j^{w(j)-1}
-    for the step weight w; n = 0 gives the zero ideal in no variables."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if n == 0:
-        if r != 0:
-            raise ValueError("r must be 0 when n = 0")
-        return MonomialIdeal(0, ())
-    w = StepWeight(n, r, a)
-    gens = []
-    for i in range(1, n + 1):
-        g = [0] * n
-        g[i - 1] = w.of(i)
-        gens.append(tuple(g))
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            g = [0] * n
-            g[i - 1] = w.of(i) - 1
-            g[j - 1] = w.of(j) - 1
-            gens.append(tuple(g))
-    return MonomialIdeal(n, tuple(gens))
+    """J_H of the weight matrix H whose diagonal is the step weight
+    w = (a,)*(n-r) + (a-1,)*r and whose off-diagonal entries are all 1:
+    pure powers x_i^w_i plus all cross products x_i^(w_i-1) x_j^(w_j-1).
+    n = 0 gives the zero ideal in no variables."""
+    if not 0 <= r <= n:
+        raise ValueError(f"r must lie in [0, {n}], got {r}")
+    w = (a,) * (n - r) + (a - 1,) * r
+    if min(w, default=1) < 1:
+        raise ValueError(f"weights must stay >= 1: n={n}, r={r}, a={a}")
+    return matrix_skeleton_ideal(IntMatrix(tuple(tuple(w[i] if i == j else 1 for j in range(n))
+                                                 for i in range(n))))
 
 
 def matrix_skeleton_ideal(h: IntMatrix) -> MonomialIdeal:

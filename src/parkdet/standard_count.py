@@ -28,6 +28,7 @@ from itertools import groupby
 from operator import itemgetter, le
 from typing import Iterable
 
+from .formulas import _check_lambda
 from .monomial_ideals import Monomial, MonomialIdeal
 from .multigraph import Multigraph
 
@@ -192,11 +193,10 @@ def is_lambda_parking(p: Iterable[int], lam: tuple[int, ...]) -> bool:
     """Sorted rearrangement of p must stay strictly below the reversed
     bound sequence."""
     p = tuple(p)
+    lam = _check_lambda(lam)
     n = len(lam)
     if len(p) != n:
         raise ValueError(f"vector length {len(p)} != sequence length {n}")
-    if any(lam[i] < lam[i + 1] for i in range(n - 1)) or (n and lam[-1] < 1):
-        raise ValueError(f"sequence must be nonincreasing and >= 1, got {lam}")
     ordered = sorted(p)
     return all(ordered[i] < lam[n - 1 - i] for i in range(n))
 

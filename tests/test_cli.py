@@ -139,6 +139,27 @@ def test_usage_errors_exit_1(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["dim", "--lambda-seq", "2,1", "--parking"], "unrecognized arguments: --parking"),
+    (["ideal", "--lambda-seq", "2,1", "--parking"], "unrecognized arguments: --parking"),
+    (["dim", "--lambda-seq", "2,1", "--seed", "3"], "unrecognized arguments: --seed 3"),
+    (["ideal", "--step", "3,1,3", "--seed", "3"], "unrecognized arguments: --seed 3"),
+    (["det", "--matrix-file", "m.json", "--seed", "3"], "unrecognized arguments: --seed 3"),
+    (["formulas", "--steck", "2,1", "--seed", "3"], "unrecognized arguments: --seed 3"),
+    (["formulas", "--steck", "2,1", "--graph-file", "g.txt"], "unrecognized arguments: --graph-file g.txt"),
+    (["gen", "--kind", "complete", "--n", "3", "--graph-file", "g.txt"],
+     "unrecognized arguments: --graph-file g.txt"),
+    (["verify", "rc", "--graph-file", "g.txt"], "unrecognized arguments: --graph-file g.txt"),
+    (["dim", "--lambda-seq", "2,1", "--skeleton", "5"], "--skeleton needs --graph-file"),
+    (["ideal", "--step", "3,1,3", "--skeleton", "1"], "--skeleton needs --graph-file"),
+])
+def test_flags_a_subcommand_does_not_read_exit_1(argv, message, capsys):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"usage error: {message}\n"
+
+
 def test_malformed_graph_file_names_line(tmp_path, capsys):
     path = tmp_path / "bad.txt"
     path.write_text("3\n0 1 1\n0 1\n")

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from parkdet import formulas
 from parkdet.exact_linalg import det
 from parkdet.formulas import (
     FormulaDomainError,
@@ -19,9 +20,9 @@ from parkdet.formulas import (
     step_weight_dim,
     step_weight_identity_holds,
 )
-from parkdet.monomial_ideals import step_weight_ideal
+from parkdet.monomial_ideals import lambda_ideal, step_weight_ideal
 from parkdet.multigraph import complete_minus_root_edges, laplacians
-from parkdet.standard_count import count_lambda_parking, count_standard
+from parkdet.standard_count import count_lambda_parking, count_standard, is_lambda_parking
 
 
 def test_steck_matrix_examples():
@@ -49,7 +50,7 @@ def test_poly_examples():
     assert steck_count((3, 2, 2)) == 20
 
 
-@pytest.mark.parametrize("n", range(1, 6))
+@pytest.mark.parametrize("n", [*range(1, 6), 12, 20])
 @pytest.mark.parametrize("b", range(1, 4))
 @pytest.mark.parametrize("x", range(1, 4))
 def test_polys_match_steck_determinants(n, b, x):
@@ -126,3 +127,26 @@ def test_lambda_validation():
         steck_count((1, 2))
     with pytest.raises(FormulaDomainError):
         steck_count(())
+
+
+@pytest.mark.parametrize("check", [
+    steck_count,
+    lambda_ideal,
+    lambda lam: is_lambda_parking((0,) * len(lam), lam),
+], ids=["steck_count", "lambda_ideal", "is_lambda_parking"])
+@pytest.mark.parametrize("lam", [(2.5, 1), ("3", 1), (True, 1)], ids=repr)
+def test_lambda_entries_must_be_ints(check, lam):
+    with pytest.raises(FormulaDomainError, match=f"sequence entries must be ints, got {lam[0]!r}"):
+        check(lam)
+
+
+def test_closed_forms_do_not_call_det(monkeypatch):
+    # keeps det an independent check on these closed forms
+    def refuse(m):
+        raise AssertionError("a closed form called det")
+
+    monkeypatch.setattr(formulas, "det", refuse)
+    assert parking_dim_complete(3, 1, 1) == 16
+    assert skeleton1_dim_complete(3, 1, 1) == 20
+    assert [root_deleted_signless_det(3, r) for r in range(4)] == [20, 12, 7, 4]
+    assert step_weight_dim(3, 1, 3) == 12

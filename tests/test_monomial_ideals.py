@@ -170,6 +170,11 @@ def test_step_weight_ideal_examples():
     assert step_weight_ideal(3, 3, 3) == step_weight_ideal(3, 0, 2)
     with pytest.raises(ValueError):
         step_weight_ideal(3, 1, 1)  # tail weight would drop to 0
+    assert step_weight_ideal(0, 0, 3) == ideal(0, [])
+    with pytest.raises(ValueError):
+        step_weight_ideal(0, 1, 3)
+    with pytest.raises(ValueError):
+        step_weight_ideal(3, 4, 3)
 
 
 @pytest.mark.parametrize("n", range(1, 6))
