@@ -26,7 +26,6 @@ from .formulas import (
 )
 from .monomial_ideals import (
     MonomialIdeal,
-    adjoin_power,
     boundary_monomial,
     colon,
     lambda_ideal,
@@ -39,7 +38,6 @@ from .multigraph import (
     Multigraph,
     complete_minus_root_edges,
     complete_multigraph,
-    degree_outside,
     delete_root_edge,
     from_edges,
     laplacians,

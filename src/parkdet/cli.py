@@ -2,15 +2,18 @@
 
 Subcommands: gen (write instance graphs), ideal (dump generators),
 dim (standard-monomial count), det (exact determinants), formulas
-(closed-form values) and verify (named suites producing structured
-reports). Exit codes: 0 success / all trials passed, 2 at least one
-failing trial, 1 usage or I/O error.
+(closed-form values, one flag per entry of `_FORMULAS`) and verify (named
+suites, whose reports `render_reports` writes as JSON, CSV or text).
+Exit codes: 0 success / all trials passed, 2 at least one failing trial,
+1 usage or I/O error.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import inspect
+import io
 import json
 import sys
 
@@ -121,13 +124,8 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_det)
 
     p = sub.add_parser("formulas", parents=[common], help="evaluate closed forms")
-    p.add_argument("--parking", metavar="n,a,b", default=None)
-    p.add_argument("--skel1", metavar="n,a,b", default=None)
-    p.add_argument("--qdet", metavar="n,r", default=None)
-    p.add_argument("--step-dim", metavar="n,r,a", default=None)
-    p.add_argument("--steck", metavar="l1,l2,...", default=None)
-    p.add_argument("--flat", metavar="l,x", default=None)
-    p.add_argument("--identity", metavar="n,a", default=None)
+    for flag, metavar, fn in _FORMULAS:
+        p.add_argument(flag, metavar=metavar, dest=fn.__name__, default=None)
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.set_defaults(func=_cmd_formulas)
 
@@ -210,28 +208,31 @@ def _cmd_det(args) -> int:
     return 0
 
 
+# The closed forms `formulas` evaluates, in output order: (flag, metavar,
+# function). A metavar ending in "..." passes the whole list; any other
+# passes exactly as many integers as it names.
+_FORMULAS = [
+    ("--parking", "n,a,b", parking_dim_complete),
+    ("--skel1", "n,a,b", skeleton1_dim_complete),
+    ("--qdet", "n,r", root_deleted_signless_det),
+    ("--step-dim", "n,r,a", step_weight_dim),
+    ("--steck", "l1,l2,...", steck_count),
+    ("--flat", "l,x", flat_parking_count),
+    ("--identity", "n,a", step_weight_identity_holds),
+]
+
+
 def _cmd_formulas(args) -> int:
     values: dict[str, str] = {}
-    if args.parking:
-        n, a, b = _ints(args.parking, "--parking", 3)
-        values["parking_dim_complete"] = str(parking_dim_complete(n, a, b))
-    if args.skel1:
-        n, a, b = _ints(args.skel1, "--skel1", 3)
-        values["skeleton1_dim_complete"] = str(skeleton1_dim_complete(n, a, b))
-    if args.qdet:
-        n, r = _ints(args.qdet, "--qdet", 2)
-        values["root_deleted_signless_det"] = str(root_deleted_signless_det(n, r))
-    if args.step_dim:
-        n, r, a = _ints(args.step_dim, "--step-dim", 3)
-        values["step_weight_dim"] = str(step_weight_dim(n, r, a))
-    if args.steck:
-        values["steck_count"] = str(steck_count(_ints(args.steck, "--steck")))
-    if args.flat:
-        l, x = _ints(args.flat, "--flat", 2)
-        values["flat_parking_count"] = str(flat_parking_count(l, x))
-    if args.identity:
-        n, a = _ints(args.identity, "--identity", 2)
-        values["step_weight_identity_holds"] = str(step_weight_identity_holds(n, a)).lower()
+    for flag, metavar, fn in _FORMULAS:
+        text = getattr(args, fn.__name__)
+        if not text:
+            continue
+        if metavar.endswith("..."):
+            value = fn(_ints(text, flag))
+        else:
+            value = fn(*_ints(text, flag, metavar.count(",") + 1))
+        values[fn.__name__] = str(value).lower()  # bools print as true/false
     if not values:
         raise UsageError("no formula selected")
     if args.format == "json":
@@ -274,21 +275,46 @@ def _cmd_verify(args) -> int:
     for r in reports:
         if not r.trials:
             raise ValueError(f"suite {r.suite} ran 0 trials")
-    if args.format == "json":
-        if len(reports) == 1:
-            text = reports[0].to_json() + "\n"
-        else:
-            text = json.dumps([r.to_dict() for r in reports], indent=2) + "\n"
-    elif args.format == "csv":
-        chunks = [reports[0].to_csv()]
-        for r in reports[1:]:
-            chunks.append("".join(r.to_csv().splitlines(keepends=True)[1:]))  # drop repeated header
-        text = "".join(chunks)
-    else:
-        text = "\n".join(r.to_text() for r in reports)
-    _write_out(text, args.out)
-    failed = sum(len(r.failed) for r in reports)
-    return 0 if failed == 0 else 2
+    _write_out(render_reports(reports, args.format), args.out)
+    return max(r.exit_code for r in reports)
+
+
+def render_reports(reports: list[suites_mod.Report], fmt: str) -> str:
+    """`reports` as `fmt`: "json" (one object for one report, else a list),
+    "csv" (one header, then a row per trial) or "text" (one block per
+    report). Only `json.dumps` is called from `json`: bench/tracing.py
+    swaps `json` here for an object that holds only `dumps`."""
+    if fmt == "json":
+        data = [r.to_dict() for r in reports]
+        return json.dumps(data[0] if len(data) == 1 else data, indent=2) + "\n"
+    if fmt == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf)
+        writer.writerow(["suite", "id", "relation", "pass", "dim", "det", "formula", "instance"])
+        for r in reports:
+            for t in r.trials:
+                d = t.to_dict()
+                writer.writerow([r.suite, d["id"], d["relation"], d["pass"], d["dim"], d["det"],
+                                 d["formula"] or "", json.dumps(d["instance"])])
+        return buf.getvalue()
+    return "\n".join(_text_block(r) for r in reports)
+
+
+def _text_block(r: suites_mod.Report) -> str:
+    lines = [f"suite {r.suite}  seed={r.seed}  params={json.dumps(r.params)}"]
+    for t in r.trials:
+        label = t.instance.get("label") or t.instance.get("kind", "")
+        skipped = t.instance.get("skipped")
+        if skipped:
+            lines.append(f"  [{t.id:4d}] skip  {label}  ({skipped})")
+            continue
+        extra = f"  slack={t.dim - t.det}" if t.relation == "geq" else ""
+        if t.formula is not None:
+            extra += f"  formula={t.formula}"
+        status = "pass" if t.passed else "FAIL"
+        lines.append(f"  [{t.id:4d}] {status}  {t.relation}  dim={t.dim}  det={t.det}{extra}  {label}")
+    lines.append(f"summary: {len(r.trials)} trials, {len(r.failed)} failed, {r.elapsed_ms} ms")
+    return "\n".join(lines) + "\n"
 
 
 def main(argv=None) -> int:

@@ -144,10 +144,6 @@ class CharPoly:
 
     coeffs: tuple[int, ...]
 
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
     def eval(self, x: int) -> int:
         acc = 0
         for c in reversed(self.coeffs):

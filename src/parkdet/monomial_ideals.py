@@ -26,7 +26,7 @@ from typing import Iterable
 
 from .exact_linalg import IntMatrix, has_dominant_diagonal, parse_int
 from .formulas import _check_lambda
-from .multigraph import Multigraph, _check_subset, degree_outside
+from .multigraph import Multigraph, _check_subset
 
 Monomial = tuple[int, ...]
 
@@ -80,9 +80,11 @@ def boundary_monomial(g: Multigraph, subset: Iterable[int]) -> Monomial:
     """Exponent of x_i is the number of edges from i to outside the subset
     (0 for vertices not in the subset)."""
     a = _check_subset(g, subset)
+    outside = [j for j in range(g.n + 1) if j not in a]
     expo = [0] * g.n
     for i in a:
-        expo[i - 1] = degree_outside(g, a, i)
+        row = g.adj[i]
+        expo[i - 1] = sum(row[j] for j in outside)
     return tuple(expo)
 
 
@@ -218,18 +220,6 @@ def colon(ideal: MonomialIdeal, m: Monomial) -> MonomialIdeal:
         raise ValueError(f"monomial {m} has {len(m)} exponents, expected {ideal.nvars}")
     gens = tuple(tuple(max(ge - me, 0) for ge, me in zip(g, m)) for g in ideal.gens)
     return MonomialIdeal(ideal.nvars, gens)
-
-
-def adjoin_power(ideal: MonomialIdeal, var: int, e: int) -> MonomialIdeal:
-    """Ideal generated by I together with x_var^e (var is 1-based);
-    e = 0 adjoins 1, giving the unit ideal."""
-    if not 1 <= var <= ideal.nvars:
-        raise ValueError(f"variable index {var} out of range")
-    if e < 0:
-        raise ValueError("exponent must be >= 0")
-    g = [0] * ideal.nvars
-    g[var - 1] = e
-    return MonomialIdeal(ideal.nvars, ideal.gens + (tuple(g),))
 
 
 def ideal_to_text(ideal: MonomialIdeal) -> str:

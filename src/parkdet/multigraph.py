@@ -85,14 +85,6 @@ def complete_minus_root_edges(n: int, r: int) -> Multigraph:
     return Multigraph(n, tuple(tuple(row) for row in adj))
 
 
-def degree_outside(g: Multigraph, subset: Iterable[int], i: int) -> int:
-    """Number of edges from i to vertices outside `subset` (root included)."""
-    a = _check_subset(g, subset)
-    if i not in a:
-        raise ValueError(f"vertex {i} not in subset {sorted(a)}")
-    return sum(g.adj[i][j] for j in range(g.n + 1) if j not in a)
-
-
 def _check_subset(g: Multigraph, subset: Iterable[int]) -> frozenset[int]:
     a = frozenset(subset)
     if not a:

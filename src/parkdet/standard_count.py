@@ -24,8 +24,8 @@ results are Python ints (arbitrary precision).
 
 from __future__ import annotations
 
-from itertools import groupby
-from operator import itemgetter, le
+from itertools import groupby, product
+from operator import itemgetter, le, lt
 from typing import Iterable
 
 from .formulas import _check_lambda
@@ -194,34 +194,22 @@ def is_lambda_parking(p: Iterable[int], lam: tuple[int, ...]) -> bool:
     bound sequence."""
     p = tuple(p)
     lam = _check_lambda(lam)
-    n = len(lam)
-    if len(p) != n:
-        raise ValueError(f"vector length {len(p)} != sequence length {n}")
-    ordered = sorted(p)
-    return all(ordered[i] < lam[n - 1 - i] for i in range(n))
+    if len(p) != len(lam):
+        raise ValueError(f"vector length {len(p)} != sequence length {len(lam)}")
+    return _sorted_below(p, lam[::-1])
+
+
+def _sorted_below(p: Iterable[int], reversed_lam: tuple[int, ...]) -> bool:
+    return all(map(lt, sorted(p), reversed_lam))
 
 
 def count_lambda_parking(lam: tuple[int, ...]) -> int:
     """Brute force over the full box [0, lam[0])^n."""
-    n = len(lam)
-    if n == 0:
+    lam = _check_lambda(lam)
+    if not lam:
         return 1
-    count = 0
-    top = lam[0]
-    vec = [0] * n
-
-    def rec(i: int):
-        nonlocal count
-        if i == n:
-            if is_lambda_parking(vec, lam):
-                count += 1
-            return
-        for v in range(top):
-            vec[i] = v
-            rec(i + 1)
-
-    rec(0)
-    return count
+    reversed_lam = lam[::-1]
+    return sum(_sorted_below(p, reversed_lam) for p in product(range(lam[0]), repeat=len(lam)))
 
 
 def is_g_parking(g: Multigraph, p: Iterable[int]) -> bool:

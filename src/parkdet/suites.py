@@ -8,15 +8,13 @@ and a pass flag; any failing trial flips the report's exit code to 2.
 A failing inequality trial would be a counterexample to the
 dimension-determinant conjecture and is reported with the full instance
 for replay. Trials that cannot be run on an instance (no root edge, no
-admissible permutation) are recorded as skipped, not failed.
+admissible permutation) are recorded as skipped, not failed. Reports are
+data; `cli.render_reports` writes them as JSON, CSV or text.
 """
 
 from __future__ import annotations
 
-import csv
 import functools
-import io
-import json
 import time
 from dataclasses import dataclass, field
 from itertools import permutations
@@ -132,40 +130,6 @@ class Report:
                 "elapsed_ms": self.elapsed_ms,
             },
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["suite", "id", "relation", "pass", "dim", "det", "formula", "instance"])
-        for t in self.trials:
-            d = t.to_dict()
-            writer.writerow([
-                self.suite, d["id"], d["relation"], d["pass"],
-                d["dim"], d["det"], "" if d["formula"] is None else d["formula"],
-                json.dumps(d["instance"]),
-            ])
-        return buf.getvalue()
-
-    def to_text(self) -> str:
-        lines = [f"suite {self.suite}  seed={self.seed}  params={json.dumps(self.params)}"]
-        for t in self.trials:
-            status = "pass" if t.passed else "FAIL"
-            extra = ""
-            if t.relation == "geq":
-                extra = f"  slack={t.dim - t.det}"
-            if t.formula is not None:
-                extra += f"  formula={t.formula}"
-            label = t.instance.get("label") or t.instance.get("kind", "")
-            skipped = t.instance.get("skipped")
-            if skipped:
-                lines.append(f"  [{t.id:4d}] skip  {label}  ({skipped})")
-            else:
-                lines.append(f"  [{t.id:4d}] {status}  {t.relation}  dim={t.dim}  det={t.det}{extra}  {label}")
-        lines.append(f"summary: {len(self.trials)} trials, {len(self.failed)} failed, {self.elapsed_ms} ms")
-        return "\n".join(lines) + "\n"
 
 
 def _skel1(g: Multigraph) -> MonomialIdeal:
@@ -322,10 +286,8 @@ def suite_rc(n_max: int = 5, a_max: int = 3, b_max: int = 3,
     for n in range(2, n_max + 1):
         for r in range(0, n + 1):
             g = complete_minus_root_edges(n, r)
-            dim = count_standard(skeleton_ideal(g, 1))
-            dt = det(laplacians(g).qtilde)
-            fo = root_deleted_signless_det(n, r)
-            report.add(_graph_instance(g, f"grid n={n} r={r}"), dim, dt, fo)
+            _count_vs_det(report, _graph_instance(g, f"grid n={n} r={r}"), _skel1(g),
+                          laplacians(g).qtilde, root_deleted_signless_det(n, r))
     rng = SplitMix64(seed)
     for _ in range(trials):
         n = rng.randint(1, n_max)
@@ -343,9 +305,7 @@ def suite_ineq(n_max: int = 5, mult_max: int = 3, trials: int = 200, seed: int =
     on four vertices as a deterministic strict-inequality witness."""
     report = Report("ineq", {"n_max": n_max, "mult_max": mult_max, "trials": trials}, seed)
     p4 = path_graph(3)
-    dim = count_standard(skeleton_ideal(p4, 1))
-    dt = det(laplacians(p4).qtilde)
-    report.add(_graph_instance(p4, "P4"), dim, dt, relation="geq")
+    _count_vs_det(report, _graph_instance(p4, "P4"), _skel1(p4), laplacians(p4).qtilde, relation="geq")
     rng = SplitMix64(seed)
     for _ in range(trials):
         n = rng.randint(1, n_max)
@@ -364,10 +324,8 @@ def suite_mt(n_max: int = 5, entry_max: int = 6, trials: int = 100, seed: int = 
     for _ in range(trials):
         n = rng.randint(1, n_max)
         h, attempts, strat = _random_dominant_psd(rng, n, entry_max)
-        dim = count_standard(matrix_skeleton_ideal(h))
-        dt = det(h)
         inst = _matrix_instance(h, f"psd n={n}", strategy=strat, attempts=attempts)
-        report.add(inst, dim, dt, relation="geq")
+        _count_vs_det(report, inst, matrix_skeleton_ideal(h), h, relation="geq")
     return report
 
 
@@ -384,10 +342,10 @@ def suite_recurrence(n_max: int = 5, a_max: int = 5) -> Report:
                 x = [0] * n
                 x[n - r] = 1  # variable index n-r+1, 1-based
                 quot = colon(prev, tuple(x))
-                inst = {"label": f"colon n={n} r={r} a={a}", "n": n, "r": r, "a": a, "check": "colon"}
-                report.add(inst, count_standard(quot), count_standard(cur), passed=quot == cur)
-
                 dims_cur = count_standard(cur)
+                inst = {"label": f"colon n={n} r={r} a={a}", "n": n, "r": r, "a": a, "check": "colon"}
+                report.add(inst, count_standard(quot), dims_cur, passed=quot == cur)
+
                 dims_prev = count_standard(prev)
                 dims_small = count_standard(step_weight_ideal(n - 1, r - 1, a))
                 inst = {"label": f"recurrence n={n} r={r} a={a}", "n": n, "r": r, "a": a, "check": "recurrence"}
@@ -562,10 +520,9 @@ def suite_properties(seed: int = 0) -> Report:
         inst = {"label": f"relabel {label}", "check": "permutation-invariance", "perm": perm}
         report.add({**inst, "quantity": "skel1-dim"},
                    count_standard(skeleton_ideal(g, 1)), count_standard(skeleton_ideal(gp, 1)))
-        report.add({**inst, "quantity": "qtilde-det"},
-                   det(laplacians(g).qtilde), det(laplacians(gp).qtilde))
-        report.add({**inst, "quantity": "ltilde-det"},
-                   det(laplacians(g).ltilde), det(laplacians(gp).ltilde))
+        lap, lapp = laplacians(g), laplacians(gp)
+        report.add({**inst, "quantity": "qtilde-det"}, det(lap.qtilde), det(lapp.qtilde))
+        report.add({**inst, "quantity": "ltilde-det"}, det(lap.ltilde), det(lapp.ltilde))
 
     for label, g, _ in corpus:
         if g.n < 2 or g.n > 4:

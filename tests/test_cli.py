@@ -85,6 +85,29 @@ def test_formulas(capsys):
     assert json.loads(capsys.readouterr().out)["step_weight_identity_holds"] == "true"
 
 
+ALL_FORMULAS = ["--parking", "3,1,1", "--skel1", "3,1,1", "--qdet", "3,1", "--step-dim", "3,1,3",
+                "--steck", "3,2,2", "--flat", "2,3", "--identity", "3,3"]
+ALL_FORMULAS_VALUES = [
+    ("parking_dim_complete", "16"),
+    ("skeleton1_dim_complete", "20"),
+    ("root_deleted_signless_det", "12"),
+    ("step_weight_dim", "12"),
+    ("steck_count", "20"),
+    ("flat_parking_count", "15"),
+    ("step_weight_identity_holds", "true"),
+]
+
+
+def test_formulas_all_flags(capsys):
+    assert main(["formulas", *ALL_FORMULAS]) == 0
+    assert capsys.readouterr().out == "".join(f"{k} = {v}\n" for k, v in ALL_FORMULAS_VALUES)
+    assert main(["formulas", *ALL_FORMULAS, "--format", "json"]) == 0
+    assert capsys.readouterr().out == (
+        '{"parking_dim_complete": "16", "skeleton1_dim_complete": "20", '
+        '"root_deleted_signless_det": "12", "step_weight_dim": "12", "steck_count": "20", '
+        '"flat_parking_count": "15", "step_weight_identity_holds": "true"}\n')
+
+
 def test_verify_rc(capsys):
     assert main(["verify", "rc", "--n", "4", "--trials", "10"]) == 0
     report = json.loads(capsys.readouterr().out)
@@ -234,6 +257,25 @@ def test_verify_all_report_is_golden(tmp_path):
     assert main(["verify", "all", "--seed", "0", "--out", str(out)]) == 0
     masked = re.sub(rb'"elapsed_ms": \d+', b'"elapsed_ms": 0', out.read_bytes())
     assert hashlib.sha256(masked).hexdigest() == VERIFY_ALL_SEED0_SHA256
+
+
+# The same report as CSV, and as text with every summary's ", N ms" set to
+# ", 0 ms".
+VERIFY_ALL_SEED0_CSV_SHA256 = "6bec05fc8968be85579d6c120e5e13d00873c465c80575ac04a1f2a1cbf4a586"
+VERIFY_ALL_SEED0_TEXT_SHA256 = "5bc1eac47716d84c6d361fc42a7fe48f65dd4100a8f0565eb993610477d002a7"
+
+
+def test_verify_all_csv_is_golden(tmp_path):
+    out = tmp_path / "all.csv"
+    assert main(["verify", "all", "--seed", "0", "--format", "csv", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == VERIFY_ALL_SEED0_CSV_SHA256
+
+
+def test_verify_all_text_is_golden(tmp_path):
+    out = tmp_path / "all.txt"
+    assert main(["verify", "all", "--seed", "0", "--format", "text", "--out", str(out)]) == 0
+    masked = re.sub(rb", \d+ ms\n", b", 0 ms\n", out.read_bytes())
+    assert hashlib.sha256(masked).hexdigest() == VERIFY_ALL_SEED0_TEXT_SHA256
 
 
 def _verify_flags() -> set[str]:

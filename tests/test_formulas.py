@@ -133,11 +133,19 @@ def test_lambda_validation():
     steck_count,
     lambda_ideal,
     lambda lam: is_lambda_parking((0,) * len(lam), lam),
-], ids=["steck_count", "lambda_ideal", "is_lambda_parking"])
+    count_lambda_parking,
+], ids=["steck_count", "lambda_ideal", "is_lambda_parking", "count_lambda_parking"])
 @pytest.mark.parametrize("lam", [(2.5, 1), ("3", 1), (True, 1)], ids=repr)
 def test_lambda_entries_must_be_ints(check, lam):
     with pytest.raises(FormulaDomainError, match=f"sequence entries must be ints, got {lam[0]!r}"):
         check(lam)
+
+
+@pytest.mark.parametrize("lam", [(0,), (-1,), (0, 0)], ids=repr)
+def test_count_lambda_parking_checks_an_empty_box(lam):
+    # the box [0, lam[0])^n is empty here, so no point of it checks lam
+    with pytest.raises(FormulaDomainError, match="nonincreasing and >= 1"):
+        count_lambda_parking(lam)
 
 
 def test_closed_forms_do_not_call_det(monkeypatch):

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 from parkdet.exact_linalg import matrix
 from parkdet.monomial_ideals import (
     MonomialIdeal,
-    adjoin_power,
     boundary_monomial,
     colon,
     divides,
@@ -236,13 +235,6 @@ def test_colon_composes(data):
     i = ideal(len(m1), gens)
     product = tuple(a + b for a, b in zip(m1, m2))
     assert colon(i, product) == colon(colon(i, m1), m2)
-
-
-def test_adjoin_power():
-    assert adjoin_power(ideal(2, [(2, 0)]), 2, 1) == ideal(2, [(2, 0), (0, 1)])
-    assert adjoin_power(skeleton_ideal(K3, 1), 1, 3).is_unit is False
-    assert adjoin_power(ideal(2, [(2, 0)]), 1, 0).is_unit
-    assert adjoin_power(parking_ideal(K3), 1, 1) == ideal(2, [(1, 0), (0, 2)])
 
 
 def test_contains_equals_minimalize():

@@ -8,7 +8,6 @@ from parkdet.multigraph import (
     Multigraph,
     complete_minus_root_edges,
     complete_multigraph,
-    degree_outside,
     delete_root_edge,
     format_graph,
     from_edges,
@@ -45,18 +44,6 @@ def test_complete_minus_root_edges():
     assert g.degree(0) == 0 and g.adj[1][2] == 1
     with pytest.raises(ValueError):
         complete_minus_root_edges(3, 4)
-
-
-def test_degree_outside():
-    assert degree_outside(K4, {1}, 1) == 3
-    assert degree_outside(K4, {1, 2}, 1) == 2  # edges from 1 to {0, 3}
-    g31 = complete_minus_root_edges(3, 1)
-    assert degree_outside(g31, {2, 3}, 3) == 1  # only the edge to 1
-    assert degree_outside(g31, {2, 3}, 2) == 2
-    with pytest.raises(ValueError):
-        degree_outside(K4, {1, 2}, 3)
-    with pytest.raises(ValueError):
-        degree_outside(K4, set(), 1)
 
 
 def test_laplacians():

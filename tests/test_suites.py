@@ -1,5 +1,6 @@
 import json
 
+from parkdet.cli import render_reports
 from parkdet.exact_linalg import matrix
 from parkdet.suites import (
     SUITES,
@@ -139,10 +140,10 @@ def test_report_schema():
 
 def test_report_projections():
     report = suite_rc(n_max=2, trials=2, seed=0)
-    csv_text = report.to_csv()
+    csv_text = render_reports([report], "csv")
     assert csv_text.splitlines()[0] == "suite,id,relation,pass,dim,det,formula,instance"
     assert len(csv_text.splitlines()) == len(report.trials) + 1
-    text = report.to_text()
+    text = render_reports([report], "text")
     assert "summary:" in text and "suite rc" in text
 
 
