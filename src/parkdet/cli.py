@@ -20,7 +20,6 @@ import sys
 from . import suites as suites_mod
 from .exact_linalg import det, matrix_from_json, parse_int
 from .formulas import (
-    FormulaDomainError,
     flat_parking_count,
     parking_dim_complete,
     root_deleted_signless_det,
@@ -39,7 +38,6 @@ from .monomial_ideals import (
     step_weight_ideal,
 )
 from .multigraph import (
-    GraphFormatError,
     complete_minus_root_edges,
     complete_multigraph,
     format_graph,
@@ -119,7 +117,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("det", parents=[common], help="exact determinant")
     p.add_argument("--graph-file", default=None, help="graph in text or JSON format")
-    p.add_argument("--matrix", choices=["l", "q", "ltilde", "qtilde"], default="qtilde")
+    p.add_argument("--matrix", choices=["l", "q", "ltilde", "qtilde"], default=None,
+                   help="Laplace-type matrix of the graph (default qtilde; needs --graph-file)")
     p.add_argument("--matrix-file", default=None, help="JSON matrix (rows of decimal strings)")
     p.set_defaults(func=_cmd_det)
 
@@ -152,20 +151,26 @@ def _add_ideal_source(p: argparse.ArgumentParser):
     p.add_argument("--matrix-file", default=None, help="dominant-class matrix (JSON rows)")
 
 
+def _one_source(args, *dests: str) -> str:
+    """The one of the input flags `dests` that is given."""
+    given = [d for d in dests if getattr(args, d)]
+    if len(given) != 1:
+        raise UsageError(f"give exactly one of {', '.join(map(_flag, dests))}")
+    return given[0]
+
+
 def _resolve_ideal(args):
-    sources = [s for s in (args.graph_file, args.lambda_seq, args.step, args.matrix_file) if s]
-    if len(sources) != 1:
-        raise UsageError("give exactly one of --graph-file, --lambda-seq, --step, --matrix-file")
-    if args.skeleton is not None and not args.graph_file:
+    source = _one_source(args, "graph_file", "lambda_seq", "step", "matrix_file")
+    if args.skeleton is not None and source != "graph_file":
         raise UsageError("--skeleton needs --graph-file")
-    if args.graph_file:
+    if source == "graph_file":
         g = _read(args.graph_file, parse_graph)
         if args.skeleton is not None:
             return skeleton_ideal(g, args.skeleton)
         return parking_ideal(g)
-    if args.lambda_seq:
+    if source == "lambda_seq":
         return lambda_ideal(_ints(args.lambda_seq, "--lambda-seq"))
-    if args.step:
+    if source == "step":
         n, r, a = _ints(args.step, "--step", 3)
         return step_weight_ideal(n, r, a)
     return matrix_skeleton_ideal(_read(args.matrix_file, matrix_from_json))
@@ -198,12 +203,12 @@ def _cmd_dim(args) -> int:
 
 
 def _cmd_det(args) -> int:
-    if args.matrix_file:
+    if _one_source(args, "graph_file", "matrix_file") == "matrix_file":
+        if args.matrix is not None:
+            raise UsageError("--matrix needs --graph-file")
         m = _read(args.matrix_file, matrix_from_json)
-    elif args.graph_file:
-        m = getattr(laplacians(_read(args.graph_file, parse_graph)), args.matrix)
     else:
-        raise UsageError("give --graph-file or --matrix-file")
+        m = getattr(laplacians(_read(args.graph_file, parse_graph)), args.matrix or "qtilde")
     _write_out(str(det(m)) + "\n", args.out)
     return 0
 
@@ -303,7 +308,7 @@ def render_reports(reports: list[suites_mod.Report], fmt: str) -> str:
 def _text_block(r: suites_mod.Report) -> str:
     lines = [f"suite {r.suite}  seed={r.seed}  params={json.dumps(r.params)}"]
     for t in r.trials:
-        label = t.instance.get("label") or t.instance.get("kind", "")
+        label = t.instance["label"]
         skipped = t.instance.get("skipped")
         if skipped:
             lines.append(f"  [{t.id:4d}] skip  {label}  ({skipped})")
@@ -318,18 +323,13 @@ def _text_block(r: suites_mod.Report) -> str:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (GraphFormatError, FormulaDomainError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

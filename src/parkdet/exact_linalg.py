@@ -255,11 +255,6 @@ def principal_submatrix(m: IntMatrix, keep: Sequence[int]) -> IntMatrix:
     return IntMatrix(tuple(tuple(m[i][j] for j in keep) for i in keep))
 
 
-def matrix_to_json(m: IntMatrix) -> str:
-    """Serialize as nested JSON arrays of decimal strings (bigint safe)."""
-    return json.dumps([[str(x) for x in row] for row in m.rows])
-
-
 def matrix_from_json(text: str) -> IntMatrix:
     data = json.loads(text)
     if not isinstance(data, list) or not all(isinstance(row, list) for row in data):

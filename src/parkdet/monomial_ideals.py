@@ -9,11 +9,13 @@ ideal J_H attached to a symmetric integer matrix H with dominant
 diagonal. The two-level step-weight family of the colon recurrence is
 J_H of a weight matrix, built by `matrix_skeleton_ideal` too.
 
-`parking_ideal` builds its generators from the connected cuts of the
-graph only, enumerating the connected sets of non-root vertices instead
-of scanning all 2^n subsets; `skeleton_ideal` takes the boundary
-monomial of every candidate subset, so `skeleton_ideal(g, g.n - 1)` is
-an independent route to the same ideal.
+The boundary monomial m_A, where x_i for i in A is raised to the number
+of edges from i to V - A, is written once, in `_boundary`, on a vertex
+bitmask. `parking_ideal` takes it for the connected cuts of the graph
+only, enumerating the connected sets of non-root vertices instead of
+scanning all 2^n subsets; `skeleton_ideal` takes it for every candidate
+subset, so `skeleton_ideal(g, g.n - 1)` is an independent route to the
+same ideal.
 """
 
 from __future__ import annotations
@@ -36,13 +38,12 @@ def divides(g: Monomial, m: Monomial) -> bool:
 
 
 def _minimalize(gens: Iterable[Monomial]) -> tuple[Monomial, ...]:
-    # sort by total degree so any divisor of m precedes m
-    ordered = sorted(set(gens), key=lambda g: (sum(g), g))
+    # any divisor of g, and any copy of g, sorts lexicographically before g
     kept: list[Monomial] = []
-    for g in ordered:
+    for g in sorted(gens):
         if not any(all(map(le, h, g)) for h in kept):  # divides(h, g), inlined: this is the hot loop
             kept.append(g)
-    return tuple(sorted(kept))
+    return tuple(kept)
 
 
 @dataclass(frozen=True)
@@ -76,16 +77,19 @@ class MonomialIdeal:
         return any(divides(g, m) for g in self.gens)
 
 
+def _boundary(g: Multigraph, mask: int) -> Monomial:
+    """m_A for the vertex bitmask `mask` of A: bit i is vertex i, and the
+    root bit is never set."""
+    adj = g.adj
+    outside = [j for j in range(g.n + 1) if not mask >> j & 1]
+    return tuple(sum(adj[i][j] for j in outside) if mask >> i & 1 else 0
+                 for i in range(1, g.n + 1))
+
+
 def boundary_monomial(g: Multigraph, subset: Iterable[int]) -> Monomial:
     """Exponent of x_i is the number of edges from i to outside the subset
     (0 for vertices not in the subset)."""
-    a = _check_subset(g, subset)
-    outside = [j for j in range(g.n + 1) if j not in a]
-    expo = [0] * g.n
-    for i in a:
-        row = g.adj[i]
-        expo[i - 1] = sum(row[j] for j in outside)
-    return tuple(expo)
+    return _boundary(g, sum(1 << i for i in _check_subset(g, subset)))
 
 
 def skeleton_ideal(g: Multigraph, k: int) -> MonomialIdeal:
@@ -93,11 +97,9 @@ def skeleton_ideal(g: Multigraph, k: int) -> MonomialIdeal:
     at most k+1."""
     if not 0 <= k <= g.n - 1:
         raise ValueError(f"k must lie in [0, {g.n - 1}], got {k}")
-    gens = []
-    for size in range(1, k + 2):
-        for a in combinations(range(1, g.n + 1), size):
-            gens.append(boundary_monomial(g, a))
-    return MonomialIdeal(g.n, tuple(gens))
+    gens = tuple(_boundary(g, sum(1 << i for i in a)) for size in range(1, k + 2)
+                 for a in combinations(range(1, g.n + 1), size))
+    return MonomialIdeal(g.n, gens)
 
 
 def parking_ideal(g: Multigraph) -> MonomialIdeal:
@@ -144,11 +146,8 @@ def parking_ideal(g: Multigraph) -> MonomialIdeal:
              for v in range(1, n + 1) for low in [(2 << v) - 1]]
     while stack:
         a, frontier, excluded = stack.pop()
-        rest = full ^ a
-        if connected(rest):
-            outside = [j for j in range(n + 1) if rest >> j & 1]
-            gens.append(tuple(sum(adj[i][j] for j in outside) if a >> i & 1 else 0
-                              for i in range(1, n + 1)))
+        if connected(full ^ a):
+            gens.append(_boundary(g, a))
         while frontier:
             w = frontier & -frontier
             frontier ^= w

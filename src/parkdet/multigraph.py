@@ -1,10 +1,12 @@
 """Loopless multigraphs on {0, 1, ..., n} with root vertex 0.
 
 The adjacency matrix stores edge multiplicities; Laplace-type matrices
-and per-subset boundary degrees are derived from it. Includes the edge
-surgeries (root-edge deletion, merging a vertex into the root) used by
-the determinant-splitting checks, seeded instance generators, and a
-small text/JSON file format.
+are derived from it. Includes the edge surgeries (root-edge deletion,
+merging a vertex into the root) used by the determinant-splitting
+checks, seeded instance generators, and a small text/JSON file format.
+Every rewrite of the root edges (the root-deleted complete graphs, the
+random root deletions, deleting one root edge) goes through
+`_with_root_edges`.
 """
 
 from __future__ import annotations
@@ -78,11 +80,15 @@ def complete_minus_root_edges(n: int, r: int) -> Multigraph:
     top-numbered vertices n-r+1, ..., n."""
     if not 0 <= r <= n:
         raise ValueError(f"r must lie in [0, {n}], got {r}")
-    g = complete_multigraph(n, 1, 1)
+    return _with_root_edges(complete_multigraph(n, 1, 1), [1] * (n - r) + [0] * r)
+
+
+def _with_root_edges(g: Multigraph, mults: Iterable[int]) -> Multigraph:
+    """g with the root edge of vertex i set to mults[i - 1]."""
     adj = [list(row) for row in g.adj]
-    for i in range(n - r + 1, n + 1):
-        adj[0][i] = adj[i][0] = 0
-    return Multigraph(n, tuple(tuple(row) for row in adj))
+    for i, m in enumerate(mults, start=1):
+        adj[0][i] = adj[i][0] = m
+    return Multigraph(g.n, tuple(tuple(row) for row in adj))
 
 
 def _check_subset(g: Multigraph, subset: Iterable[int]) -> frozenset[int]:
@@ -119,10 +125,7 @@ def delete_root_edge(g: Multigraph, j: int) -> Multigraph:
         raise ValueError(f"vertex {j} out of range")
     if g.adj[0][j] == 0:
         raise ValueError(f"no root edge to vertex {j} to delete")
-    adj = [list(row) for row in g.adj]
-    adj[0][j] -= 1
-    adj[j][0] -= 1
-    return Multigraph(g.n, tuple(tuple(row) for row in adj))
+    return _with_root_edges(g, [m - (i == j) for i, m in enumerate(g.adj[0][1:], start=1)])
 
 
 def merge_into_root(g: Multigraph, j: int) -> Multigraph:
@@ -176,13 +179,8 @@ def random_root_deletion(n: int, a: int, b: int, seed: int) -> Multigraph:
     """Seeded subgraph of the complete multigraph obtained by deleting a
     uniform sub-multiset of root edges only (each root multiplicity drops
     to an independent uniform value in [0, a])."""
-    g = complete_multigraph(n, a, b)
     rng = SplitMix64(seed)
-    adj = [list(row) for row in g.adj]
-    for i in range(1, n + 1):
-        kept = rng.randint(0, a)
-        adj[0][i] = adj[i][0] = kept
-    return Multigraph(n, tuple(tuple(row) for row in adj))
+    return _with_root_edges(complete_multigraph(n, a, b), [rng.randint(0, a) for _ in range(n)])
 
 
 # --- file format ------------------------------------------------------------
@@ -205,6 +203,8 @@ def parse_graph(text: str) -> Multigraph:
             raise GraphFormatError(f"invalid graph JSON: {exc}") from exc
         if not isinstance(data, dict) or "n" not in data or "adj" not in data:
             raise GraphFormatError('graph JSON needs keys "n" and "adj"')
+        if not isinstance(data["adj"], list) or not all(isinstance(row, list) for row in data["adj"]):
+            raise GraphFormatError('invalid graph JSON: "adj" must be an array of rows')
         try:
             adj = tuple(tuple(parse_int(x, f"adj[{i}][{j}]") for j, x in enumerate(row))
                         for i, row in enumerate(data["adj"]))

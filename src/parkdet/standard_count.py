@@ -41,21 +41,18 @@ class NonArtinianError(ValueError):
 
 
 def artinian_bounds(ideal: MonomialIdeal) -> tuple[int, ...]:
-    """Pure-power exponent per variable (the box); raises NonArtinianError
-    naming the first variable without a pure power generator."""
-    bounds = []
-    for i in range(ideal.nvars):
-        bound = None
-        for g in ideal.gens:
-            if g[i] > 0 and all(e == 0 for k, e in enumerate(g) if k != i):
-                bound = g[i]
-                break
-        if bound is None:
-            if ideal.is_unit:
-                bound = 0
-            else:
-                raise NonArtinianError(f"no pure power of x_{i + 1}: quotient is not finite dimensional")
-        bounds.append(bound)
+    """Pure-power exponent per variable (the box), all zero for the unit
+    ideal; raises NonArtinianError naming the first variable without a
+    pure power generator."""
+    bounds = [0] * ideal.nvars
+    if ideal.is_unit:
+        return tuple(bounds)
+    for g in ideal.gens:
+        if g.count(0) == ideal.nvars - 1:  # exactly one nonzero exponent
+            b = max(g)
+            bounds[g.index(b)] = b
+    if 0 in bounds:
+        raise NonArtinianError(f"no pure power of x_{bounds.index(0) + 1}: quotient is not finite dimensional")
     return tuple(bounds)
 
 

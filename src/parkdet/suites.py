@@ -263,12 +263,10 @@ def _suite(name: str, **minimums: int):
 
 
 @_suite("matrix-tree")
-def suite_matrix_tree(graphs: list[tuple[str, Multigraph, int | None]] | None = None,
-                      seed: int = 0) -> Report:
+def suite_matrix_tree(seed: int = 0) -> Report:
     """Quotient dimension of the full parking ideal vs the truncated
     Laplacian determinant (the spanning-tree count)."""
-    if graphs is None:
-        graphs = default_graph_corpus(seed)
+    graphs = default_graph_corpus(seed)
     report = Report("matrix-tree", {"graphs": len(graphs)}, seed)
     for label, g, known in graphs:
         _count_vs_det(report, _graph_instance(g, label), parking_ideal(g),
@@ -334,22 +332,21 @@ def suite_recurrence(n_max: int = 5, a_max: int = 5) -> Report:
     """Exhaustive colon identity and dimension recurrence for the
     step-weight family, three-way against the alternating-sum closed form."""
     report = Report("recurrence", {"n_max": n_max, "a_max": a_max}, 0)
+    # every step-weight ideal the checks need, built and counted once
+    ideals = {(n, r, a): step_weight_ideal(n, r, a)
+              for n in range(n_max + 1) for r in range(n + 1) for a in range(2, a_max + 1)}
+    dims = {key: count_standard(ideal) for key, ideal in ideals.items()}
     for n in range(1, n_max + 1):
         for r in range(1, n + 1):
             for a in range(2, a_max + 1):
-                prev = step_weight_ideal(n, r - 1, a)
-                cur = step_weight_ideal(n, r, a)
                 x = [0] * n
                 x[n - r] = 1  # variable index n-r+1, 1-based
-                quot = colon(prev, tuple(x))
-                dims_cur = count_standard(cur)
+                quot = colon(ideals[n, r - 1, a], tuple(x))
                 inst = {"label": f"colon n={n} r={r} a={a}", "n": n, "r": r, "a": a, "check": "colon"}
-                report.add(inst, count_standard(quot), dims_cur, passed=quot == cur)
-
-                dims_prev = count_standard(prev)
-                dims_small = count_standard(step_weight_ideal(n - 1, r - 1, a))
+                report.add(inst, count_standard(quot), dims[n, r, a], passed=quot == ideals[n, r, a])
                 inst = {"label": f"recurrence n={n} r={r} a={a}", "n": n, "r": r, "a": a, "check": "recurrence"}
-                report.add(inst, dims_cur, dims_prev - dims_small, step_weight_dim(n, r, a))
+                report.add(inst, dims[n, r, a], dims[n, r - 1, a] - dims[n - 1, r - 1, a],
+                           step_weight_dim(n, r, a))
     return report
 
 
@@ -506,11 +503,12 @@ def suite_properties(seed: int = 0) -> Report:
         diag_prod = 1
         for i in range(m.order):
             diag_prod *= m[i][i]
-        report.add({**inst, "bound": "hadamard"}, diag_prod, det(m), relation="geq")
+        det_m = det(m)
+        report.add({**inst, "bound": "hadamard"}, diag_prod, det_m, relation="geq")
         for k in range(1, m.order):
             a = principal_submatrix(m, range(k))
             c = principal_submatrix(m, range(k, m.order))
-            report.add({**inst, "bound": f"fischer-{k}"}, det(a) * det(c), det(m), relation="geq")
+            report.add({**inst, "bound": f"fischer-{k}"}, det(a) * det(c), det_m, relation="geq")
 
     for label, g, _ in corpus:
         if g.n < 2:

@@ -175,6 +175,9 @@ def test_usage_errors_exit_1(capsys):
     (["verify", "rc", "--graph-file", "g.txt"], "unrecognized arguments: --graph-file g.txt"),
     (["dim", "--lambda-seq", "2,1", "--skeleton", "5"], "--skeleton needs --graph-file"),
     (["ideal", "--step", "3,1,3", "--skeleton", "1"], "--skeleton needs --graph-file"),
+    (["det", "--graph-file", "g.txt", "--matrix-file", "m.json"],
+     "give exactly one of --graph-file, --matrix-file"),
+    (["det", "--matrix-file", "m.json", "--matrix", "l"], "--matrix needs --graph-file"),
 ])
 def test_flags_a_subcommand_does_not_read_exit_1(argv, message, capsys):
     assert main(argv) == 1
@@ -199,6 +202,10 @@ def test_malformed_graph_file_names_line(tmp_path, capsys):
      "matrix entry (0, 0): expected an integer, got True"),
     (["dim", "--matrix-file"], "m.json", '[["2", "1"], ["1", "2.0"]]',
      "matrix entry (1, 1): expected an integer, got '2.0'"),
+    (["det", "--graph-file"], "g.json", '{"n": 1, "adj": ["01", "10"]}',
+     'invalid graph JSON: "adj" must be an array of rows'),
+    (["det", "--graph-file"], "g.json", '{"n": 1, "adj": {"01": 0, "10": 0}}',
+     'invalid graph JSON: "adj" must be an array of rows'),
 ])
 def test_non_integer_json_input_exits_1(tmp_path, capsys, argv, name, text, message):
     path = tmp_path / name
@@ -288,7 +295,7 @@ def test_suite_signatures_match_verify_flags():
     flags = _verify_flags()
     taken = set()
     for name, fn in SUITES.items():
-        params = set(inspect.signature(fn).parameters) - {"seed", "graphs"}
+        params = set(inspect.signature(fn).parameters) - {"seed"}
         assert params <= flags, name
         taken |= params
     assert taken == flags
