@@ -173,7 +173,7 @@ def _resolve_ideal(args):
     if source == "step":
         n, r, a = _ints(args.step, "--step", 3)
         return step_weight_ideal(n, r, a)
-    return matrix_skeleton_ideal(_read(args.matrix_file, matrix_from_json))
+    return _read(args.matrix_file, lambda text: matrix_skeleton_ideal(matrix_from_json(text)))
 
 
 def _cmd_gen(args) -> int:

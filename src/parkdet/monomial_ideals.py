@@ -1,7 +1,10 @@
 """Monomial ideals given by finite generator lists.
 
 A monomial is an exponent tuple; an ideal keeps its minimal generators
-only (minimalization is applied eagerly by the constructor). The zero
+only (minimalization is applied eagerly by the constructor). The
+constructor minimalizes in one lexicographic pass, testing divisibility
+on exponents packed into one int per monomial with a guard bit above
+each field, so one subtraction compares every exponent at once. The zero
 monomial as a generator denotes the unit ideal. Constructors cover the
 parking-function ideal of a rooted multigraph, its k-skeleton subideals,
 the ideal of a nonincreasing exponent sequence, and the skeleton-type
@@ -22,7 +25,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 from operator import le
 from typing import Iterable
 
@@ -37,12 +40,33 @@ def divides(g: Monomial, m: Monomial) -> bool:
     return all(map(le, g, m))
 
 
+def _pack(m: Monomial, width: int) -> int:
+    """m as one int, x_1 in the top field, each field `width` bits."""
+    p = 0
+    for e in m:
+        p = p << width | e
+    return p
+
+
 def _minimalize(gens: Iterable[Monomial]) -> tuple[Monomial, ...]:
-    # any divisor of g, and any copy of g, sorts lexicographically before g
+    # Any divisor of g, and any copy of g, sorts lexicographically before g.
+    # Divisibility is tested on packed exponents. Every field is one bit
+    # wider than the largest exponent needs, and its top bit is a guard:
+    # h divides g iff ((G | guard) - H) & guard == guard. Each field of
+    # G | guard exceeds every exponent of H, so the subtraction never
+    # borrows across fields, and a field keeps its guard bit exactly when
+    # g's exponent is at least h's.
+    gens = sorted(gens)
+    width = max(chain.from_iterable(gens), default=0).bit_length() + 1
+    guard = _pack((1 << width - 1,) * len(gens[0]), width) if gens else 0
     kept: list[Monomial] = []
-    for g in sorted(gens):
-        if not any(all(map(le, h, g)) for h in kept):  # divides(h, g), inlined: this is the hot loop
+    kept_packed: list[int] = []
+    for g in gens:
+        p = _pack(g, width)
+        top = p | guard
+        if not any((top - q) & guard == guard for q in kept_packed):
             kept.append(g)
+            kept_packed.append(p)
     return tuple(kept)
 
 

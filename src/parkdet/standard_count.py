@@ -1,17 +1,19 @@
 """Counting and enumerating standard monomials of Artinian quotients.
 
 A monomial ideal is Artinian here when every variable carries a pure
-power generator. The counter splits the quotient into slices by the
-exponent p of x_1: the slice at p is the ideal, in the other variables,
-of the generators with g[0] <= p. It is constant between consecutive
-values of g[0], so each run of equal slices is counted once, and the
-slices are counted recursively down to closed-form two-variable
-staircases. Each slice comes from the previous one by dropping what the
-new generators divide, which keeps it minimally generated without a
-minimalization pass. Slice counts are memoized within a call, keyed by
-a normal form under permuting the variables, since permuting variables
-keeps the quotient dimension (the divide-and-conquer step of the
-Hilbert-series algorithms of Bayer-Stillman and Bigatti).
+power generator. Permuting the variables keeps the quotient dimension,
+so the counter first brings the generators to a normal form under
+permuting the variables (columns sorted, then rows), memoizes counts
+within a call on that normal form, and counts the normal form itself
+(the divide-and-conquer step of the Hilbert-series algorithms of
+Bayer-Stillman and Bigatti). It splits the quotient into slices by the
+exponent p of the normal form's first variable: the slice at p is the
+ideal, in the other variables, of the generators with g[0] <= p. It is
+constant between consecutive values of g[0], so each run of equal slices
+is counted once, and the slices are counted recursively down to
+closed-form two-variable staircases. Each slice comes from the previous
+one by dropping what the new generators divide, which keeps it minimally
+generated without a minimalization pass.
 
 Three routes independent of the counter check it: an inclusion-exclusion
 count over generator subsets, the enumerator, which walks the box of
@@ -68,16 +70,22 @@ def count_standard(ideal: MonomialIdeal) -> int:
 
 def _slice_count(gens: tuple[Monomial, ...], memo: dict) -> int:
     """Standard monomials of the Artinian, non-unit ideal minimally
-    generated by `gens`, summed over the slices x_1 = p.
+    generated by `gens`.
+
+    `memo` maps a normal form under permuting the variables (columns
+    sorted, then rows) to its count. The normal form is the same ideal
+    with its variables renamed, so it is Artinian, minimally generated
+    and has the same count; it is what gets sliced. Its rows are sorted,
+    so they come grouped by their first exponent, and the sum runs over
+    the slices x_1 = p of the normal form's x_1.
 
     The slice at p is the ideal of the generators with g[0] <= p, with x_1
     dropped; it only changes at the cuts, the distinct values of g[0], the
-    largest of which is x_1's pure power. `memo` maps a normal form under
-    permuting the variables (columns sorted, then rows) to its count.
+    largest of which is x_1's pure power.
 
-    The slices are built in one pass over the generators grouped by g[0]:
+    The slices are built in one pass over the normal form grouped by g[0]:
     at each cut, the kept projections that a new projection g[1:] divides
-    are dropped and the new ones appended. Because `gens` is minimal, this
+    are dropped and the new ones appended. Because the normal form is minimal, this
     leaves each slice minimally generated with no further check: two
     generators with equal g[0] project to incomparable monomials, and a
     projection h[1:] with h[0] < g[0] never divides g[1:], since h would
@@ -89,12 +97,12 @@ def _slice_count(gens: tuple[Monomial, ...], memo: dict) -> int:
     if key not in memo:
         total = lo = 0
         kept: list[Monomial] = []
-        for cut, group in groupby(sorted(gens), key=itemgetter(0)):
+        for cut, group in groupby(key, itemgetter(0)):
+            new = [g[1:] for g in group]
             if kept:  # the slice of the previous cut holds up to this one
                 total += (cut - lo) * _slice_count(tuple(kept), memo)
-            new = [g[1:] for g in group]
-            for g in new:
-                kept = [h for h in kept if not all(map(le, g, h))]
+                for g in new:
+                    kept = [h for h in kept if not all(map(le, g, h))]
             kept += new
             lo = cut
         memo[key] = total

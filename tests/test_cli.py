@@ -216,6 +216,18 @@ def test_non_integer_json_input_exits_1(tmp_path, capsys, argv, name, text, mess
     assert captured.err == f"error: {path}: {message}\n"
 
 
+@pytest.mark.parametrize("command", ["dim", "ideal"])
+def test_matrix_outside_the_class_names_the_file(tmp_path, capsys, command):
+    path = tmp_path / "m.json"
+    path.write_text("[[1, 2], [3, 4]]")
+    assert main([command, "--matrix-file", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path}: matrix must be symmetric, nonnegative, with row-dominant diagonal\n"
+    assert main(["det", "--matrix-file", str(path)]) == 0
+    assert capsys.readouterr().out == "-2\n"
+
+
 def test_non_ascii_integers_exit_1(tmp_path, capsys):
     path = tmp_path / "g.txt"
     path.write_text("2\n0 1 1_0\n0 2 \u0661\n1 2 1\n")

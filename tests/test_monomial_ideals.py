@@ -1,10 +1,11 @@
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from parkdet.exact_linalg import matrix
 from parkdet.monomial_ideals import (
     MonomialIdeal,
+    _minimalize,
     boundary_monomial,
     colon,
     divides,
@@ -244,6 +245,32 @@ def test_contains_equals_minimalize():
     assert ideal(2, [(2, 0), (2, 1)]).gens == ((2, 0),)
     with pytest.raises(ValueError):
         (1, 1, 1) in ideal(2, [(1, 1)])
+
+
+# exponents at and just below each field-width boundary, so that a field
+# one bit short or a fixed 8-bit field shows
+EDGE_EXPONENTS = sorted({e for k in (1, 7, 8, 15, 16, 63, 64) for e in (2**k - 1, 2**k)} | {10**30})
+
+
+@st.composite
+def generator_lists(draw):
+    n = draw(st.integers(min_value=0, max_value=6))
+    exponent = st.one_of(st.integers(min_value=0, max_value=2), st.sampled_from(EDGE_EXPONENTS))
+    gens = draw(st.lists(st.tuples(*[exponent] * n), max_size=12))
+    copies = draw(st.lists(st.sampled_from(gens), max_size=3)) if gens else []
+    zero = [(0,) * n] if draw(st.booleans()) else []
+    return draw(st.permutations(gens + copies + zero))
+
+
+@settings(max_examples=300)
+@given(generator_lists())
+@example([(2**8,), (1,)])
+@example([(2**8, 0), (1, 0), (0, 2**8)])
+@example([(2**64 - 1, 3), (2**63, 2), (10**30, 2**7)])
+def test_minimalize_matches_pairwise_divides(gens):
+    distinct = set(gens)
+    oracle = sorted(g for g in distinct if not any(h != g and divides(h, g) for h in distinct))
+    assert list(_minimalize(gens)) == oracle
 
 
 def test_unit_ideal_representation():

@@ -54,6 +54,14 @@ def test_count_ie_examples():
     assert count_standard_ie(ideal(2, [(0, 0)])) == 0
 
 
+def test_count_routes_agree_above_eight_bit_exponents():
+    # artinian_ideals keeps exponents at 5 or below
+    i = ideal(3, [(256, 0, 0), (0, 300, 0), (0, 0, 257), (255, 256, 1), (1, 299, 256),
+                  (255, 1, 255), (2, 2, 2), (257, 1, 0), (3, 301, 3)])
+    assert len(i.gens) == 7
+    assert count_standard(i) == count_standard_ie(i) == 436093
+
+
 def test_ie_guard():
     gens = [tuple(1 if i == j else 0 for i in range(23)) for j in range(23)]
     big = ideal(23, gens)
