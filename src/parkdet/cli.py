@@ -63,7 +63,9 @@ def _ints(text: str, flag: str, expect: int | None = None) -> tuple[int, ...]:
     try:
         values = tuple(parse_int(x, flag) for x in text.replace(",", " ").split())
     except ValueError:
-        raise UsageError(f"{flag}: expected comma-separated integers, got {text!r}") from None
+        values = ()
+    if not values:
+        raise UsageError(f"{flag}: expected comma-separated integers, got {text!r}")
     if expect is not None and len(values) != expect:
         raise UsageError(f"{flag}: expected {expect} integers, got {len(values)} in {text!r}")
     return values
@@ -80,7 +82,7 @@ def _read(path: str, parse):
 
 
 def _write_out(text: str, out: str | None):
-    if out:
+    if out is not None:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
@@ -153,7 +155,7 @@ def _add_ideal_source(p: argparse.ArgumentParser):
 
 def _one_source(args, *dests: str) -> str:
     """The one of the input flags `dests` that is given."""
-    given = [d for d in dests if getattr(args, d)]
+    given = [d for d in dests if getattr(args, d) is not None]
     if len(given) != 1:
         raise UsageError(f"give exactly one of {', '.join(map(_flag, dests))}")
     return given[0]
@@ -231,7 +233,7 @@ def _cmd_formulas(args) -> int:
     values: dict[str, str] = {}
     for flag, metavar, fn in _FORMULAS:
         text = getattr(args, fn.__name__)
-        if not text:
+        if text is None:
             continue
         if metavar.endswith("..."):
             value = fn(_ints(text, flag))

@@ -31,7 +31,7 @@ from typing import Iterable
 
 from .exact_linalg import IntMatrix, has_dominant_diagonal, parse_int
 from .formulas import _check_lambda
-from .multigraph import Multigraph, _check_subset
+from .multigraph import Multigraph
 
 Monomial = tuple[int, ...]
 
@@ -113,7 +113,12 @@ def _boundary(g: Multigraph, mask: int) -> Monomial:
 def boundary_monomial(g: Multigraph, subset: Iterable[int]) -> Monomial:
     """Exponent of x_i is the number of edges from i to outside the subset
     (0 for vertices not in the subset)."""
-    return _boundary(g, sum(1 << i for i in _check_subset(g, subset)))
+    a = frozenset(subset)
+    if not a:
+        raise ValueError("subset must be nonempty")
+    if not a <= frozenset(range(1, g.n + 1)):
+        raise ValueError(f"subset {sorted(a)} not contained in [1..{g.n}]")
+    return _boundary(g, sum(1 << i for i in a))
 
 
 def skeleton_ideal(g: Multigraph, k: int) -> MonomialIdeal:

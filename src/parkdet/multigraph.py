@@ -4,9 +4,9 @@ The adjacency matrix stores edge multiplicities; Laplace-type matrices
 are derived from it. Includes the edge surgeries (root-edge deletion,
 merging a vertex into the root) used by the determinant-splitting
 checks, seeded instance generators, and a small text/JSON file format.
-Every rewrite of the root edges (the root-deleted complete graphs, the
-random root deletions, deleting one root edge) goes through
-`_with_root_edges`.
+Every multigraph is assembled by `from_edges` (only the JSON reader, which
+must reject rather than add up an asymmetric or looped `adj`, builds one
+directly), and every edge list is read off by `_edges`.
 """
 
 from __future__ import annotations
@@ -61,18 +61,19 @@ def from_edges(n: int, edges: Iterable[tuple[int, int, int]]) -> Multigraph:
     return Multigraph(n, tuple(tuple(row) for row in adj))
 
 
+def _edges(g: Multigraph) -> list[tuple[int, int, int]]:
+    """The (i, j, multiplicity) triples of g with i < j and multiplicity > 0."""
+    adj = g.adj
+    return [(i, j, adj[i][j]) for i in range(g.n + 1) for j in range(i + 1, g.n + 1) if adj[i][j]]
+
+
 def complete_multigraph(n: int, a: int, b: int) -> Multigraph:
     """Every root edge with multiplicity a, every non-root pair with b."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if a < 1 or b < 1:
         raise ValueError(f"multiplicities must be >= 1, got a={a}, b={b}")
-    adj = [[0] * (n + 1) for _ in range(n + 1)]
-    for i in range(1, n + 1):
-        adj[0][i] = adj[i][0] = a
-        for j in range(i + 1, n + 1):
-            adj[i][j] = adj[j][i] = b
-    return Multigraph(n, tuple(tuple(row) for row in adj))
+    return from_edges(n, [(i, j, b if i else a) for i in range(n + 1) for j in range(i + 1, n + 1)])
 
 
 def complete_minus_root_edges(n: int, r: int) -> Multigraph:
@@ -80,24 +81,13 @@ def complete_minus_root_edges(n: int, r: int) -> Multigraph:
     top-numbered vertices n-r+1, ..., n."""
     if not 0 <= r <= n:
         raise ValueError(f"r must lie in [0, {n}], got {r}")
-    return _with_root_edges(complete_multigraph(n, 1, 1), [1] * (n - r) + [0] * r)
+    return from_edges(n, [(i, j, 1) for i in range(n + 1) for j in range(i + 1, n + 1) if i or j <= n - r])
 
 
 def _with_root_edges(g: Multigraph, mults: Iterable[int]) -> Multigraph:
     """g with the root edge of vertex i set to mults[i - 1]."""
-    adj = [list(row) for row in g.adj]
-    for i, m in enumerate(mults, start=1):
-        adj[0][i] = adj[i][0] = m
-    return Multigraph(g.n, tuple(tuple(row) for row in adj))
-
-
-def _check_subset(g: Multigraph, subset: Iterable[int]) -> frozenset[int]:
-    a = frozenset(subset)
-    if not a:
-        raise ValueError("subset must be nonempty")
-    if not a <= frozenset(range(1, g.n + 1)):
-        raise ValueError(f"subset {sorted(a)} not contained in [1..{g.n}]")
-    return a
+    return from_edges(g.n, [(i, j, m) for i, j, m in _edges(g) if i]
+                      + [(0, i, m) for i, m in enumerate(mults, start=1)])
 
 
 class Laplacians(NamedTuple):
@@ -136,19 +126,8 @@ def merge_into_root(g: Multigraph, j: int) -> Multigraph:
         raise ValueError("merging needs at least two non-root vertices")
     if not 1 <= j <= g.n:
         raise ValueError(f"vertex {j} out of range")
-    kept = [0] + [v for v in range(1, g.n + 1) if v != j]
-    adj = [[0] * g.n for _ in range(g.n)]
-    for new_r, r in enumerate(kept):
-        for new_s, s in enumerate(kept):
-            if new_r == new_s:
-                continue
-            m = g.adj[r][s]
-            if r == 0:
-                m += g.adj[j][s]
-            elif s == 0:
-                m += g.adj[r][j]
-            adj[new_r][new_s] = m
-    return Multigraph(g.n - 1, tuple(tuple(row) for row in adj))
+    new = [0 if v == j else v - (v > j) for v in range(g.n + 1)]
+    return from_edges(g.n - 1, [(new[u], new[v], m) for u, v, m in _edges(g) if new[u] != new[v]])
 
 
 def relabel_vertices(g: Multigraph, perm: Iterable[int]) -> Multigraph:
@@ -156,9 +135,8 @@ def relabel_vertices(g: Multigraph, perm: Iterable[int]) -> Multigraph:
     perm = tuple(perm)
     if sorted(perm) != list(range(1, g.n + 1)):
         raise ValueError("perm must be a permutation of 1..n")
-    order = (0,) + perm
-    adj = tuple(tuple(g.adj[order[i]][order[j]] for j in range(g.n + 1)) for i in range(g.n + 1))
-    return Multigraph(g.n, adj)
+    new = {v: k for k, v in enumerate((0,) + perm)}
+    return from_edges(g.n, [(new[u], new[v], m) for u, v, m in _edges(g)])
 
 
 def random_multigraph(n: int, max_multiplicity: int, seed: int) -> Multigraph:
@@ -167,12 +145,8 @@ def random_multigraph(n: int, max_multiplicity: int, seed: int) -> Multigraph:
     if n < 1 or max_multiplicity < 1:
         raise ValueError("need n >= 1 and max_multiplicity >= 1")
     rng = SplitMix64(seed)
-    adj = [[0] * (n + 1) for _ in range(n + 1)]
-    for i in range(n + 1):
-        for j in range(i + 1, n + 1):
-            m = rng.randint(0, max_multiplicity)
-            adj[i][j] = adj[j][i] = m
-    return Multigraph(n, tuple(tuple(row) for row in adj))
+    return from_edges(n, [(i, j, rng.randint(0, max_multiplicity))
+                          for i in range(n + 1) for j in range(i + 1, n + 1)])
 
 
 def random_root_deletion(n: int, a: int, b: int, seed: int) -> Multigraph:
@@ -248,12 +222,7 @@ def parse_graph(text: str) -> Multigraph:
 
 
 def format_graph(g: Multigraph) -> str:
-    lines = [str(g.n)]
-    for i in range(g.n + 1):
-        for j in range(i + 1, g.n + 1):
-            if g.adj[i][j]:
-                lines.append(f"{i} {j} {g.adj[i][j]}")
-    return "\n".join(lines) + "\n"
+    return "\n".join([str(g.n)] + [f"{i} {j} {m}" for i, j, m in _edges(g)]) + "\n"
 
 
 def graph_to_json(g: Multigraph) -> str:

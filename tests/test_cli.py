@@ -266,6 +266,21 @@ def test_missing_file_is_io_error(capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["formulas", "--parking", "3,1,1", "--steck="],
+     "usage error: --steck: expected comma-separated integers, got ''\n"),
+    (["dim", "--graph-file=", "--step", "2,1,2"],
+     "usage error: give exactly one of --graph-file, --lambda-seq, --step, --matrix-file\n"),
+    (["gen", "--kind", "complete", "--n", "2", "--out="], "io error: "),
+], ids=["formulas", "dim", "gen"])
+def test_empty_flag_value_exits_1(argv, message, capsys):
+    """An empty flag value is a given value, not an absent one."""
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(message)
+
+
 # sha256 of `verify all --seed 0` JSON with every elapsed_ms set to 0; the
 # benchmark records the same digest in bench/answers/verify-all.json.
 VERIFY_ALL_SEED0_SHA256 = "4bd9c0bf0dc1a70acac725026048c7a3c3d4c8b79592a964e5e654cf8812d043"

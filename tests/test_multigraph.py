@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from parkdet.exact_linalg import det, is_psd, matrix
@@ -19,8 +19,20 @@ from parkdet.multigraph import (
     random_root_deletion,
     relabel_vertices,
 )
+from parkdet.rng import SplitMix64
 
 K4 = complete_multigraph(3, 1, 1)
+
+
+@st.composite
+def multigraphs(draw, n_min=1, n_max=5, max_mult=3):
+    """A multigraph filled entry by entry, without `from_edges`."""
+    n = draw(st.integers(min_value=n_min, max_value=n_max))
+    adj = [[0] * (n + 1) for _ in range(n + 1)]
+    for i in range(n + 1):
+        for j in range(i + 1, n + 1):
+            adj[i][j] = adj[j][i] = draw(st.integers(min_value=0, max_value=max_mult))
+    return Multigraph(n, tuple(tuple(row) for row in adj))
 
 
 def test_complete_multigraph_examples():
@@ -87,6 +99,45 @@ def test_merge_preserves_remaining_degrees():
         assert merged.degree(new_i) == g.degree(old_i)
 
 
+@given(multigraphs(n_min=2), st.data())
+def test_merge_into_root_matches_entry_formula(g, data):
+    j = data.draw(st.integers(min_value=1, max_value=g.n))
+    kept = [0] + [v for v in range(1, g.n + 1) if v != j]
+    expected = tuple(
+        tuple(0 if r == s else g.adj[r][s] + (g.adj[j][s] if r == 0 else g.adj[r][j] if s == 0 else 0)
+              for s in kept)
+        for r in kept)
+    assert merge_into_root(g, j).adj == expected
+
+
+@given(multigraphs(), st.data())
+def test_relabel_vertices_matches_entry_formula(g, data):
+    perm = data.draw(st.permutations(range(1, g.n + 1)))
+    order = (0, *perm)
+    expected = tuple(tuple(g.adj[order[i]][order[j]] for j in range(g.n + 1)) for i in range(g.n + 1))
+    assert relabel_vertices(g, perm).adj == expected
+
+
+@given(st.integers(min_value=1, max_value=6), st.integers(min_value=1, max_value=4),
+       st.integers(min_value=0, max_value=2**64 - 1))
+def test_random_multigraph_draws_pairs_in_row_major_order(n, mult, seed):
+    rng = SplitMix64(seed)
+    g = random_multigraph(n, mult, seed)
+    for i in range(n + 1):
+        for j in range(i + 1, n + 1):
+            m = rng.randint(0, mult)
+            assert g.adj[i][j] == g.adj[j][i] == m
+
+
+@given(st.integers(min_value=1, max_value=6), st.integers(min_value=1, max_value=4),
+       st.integers(min_value=1, max_value=4), st.integers(min_value=0, max_value=2**64 - 1))
+def test_random_root_deletion_root_edges_are_first_draws(n, a, b, seed):
+    rng = SplitMix64(seed)
+    g = random_root_deletion(n, a, b, seed)
+    assert list(g.adj[0][1:]) == [rng.randint(0, a) for _ in range(n)]
+    assert all(g.adj[i][j] == b for i in range(1, n + 1) for j in range(i + 1, n + 1))
+
+
 def test_random_generators_deterministic():
     assert random_multigraph(4, 3, seed=5) == random_multigraph(4, 3, seed=5)
     assert random_root_deletion(4, 2, 3, seed=9) == random_root_deletion(4, 2, 3, seed=9)
@@ -138,10 +189,10 @@ def test_multigraph_validation():
         from_edges(2, [(1, 1, 1)])
 
 
-def test_text_format_round_trip():
-    text = format_graph(K4)
-    assert parse_graph(text) == K4
-    g = random_multigraph(4, 3, seed=3)
+@given(multigraphs(max_mult=2**70))
+@example(K4)
+@example(random_multigraph(4, 3, seed=3))
+def test_text_format_round_trip(g):
     assert parse_graph(format_graph(g)) == g
     assert parse_graph(graph_to_json(g)) == g
 
