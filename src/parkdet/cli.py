@@ -71,6 +71,19 @@ def _ints(text: str, flag: str, expect: int | None = None) -> tuple[int, ...]:
     return values
 
 
+def _seed(text: str) -> int:
+    """A --seed value: a decimal integer in [0, 2**64), the seeds that
+    `rng.SplitMix64` takes without masking one onto another."""
+    try:
+        seed = parse_int(text, "--seed")
+        ok = 0 <= seed < 2**64
+    except ValueError:
+        ok = False
+    if not ok:
+        raise UsageError(f"--seed: expected an integer in [0, 2**64), got {text!r}")
+    return seed
+
+
 def _read(path: str, parse):
     """Parse the file at `path`; a malformed file's error names it."""
     with open(path, "r", encoding="utf-8") as fh:
@@ -97,7 +110,7 @@ def build_parser() -> _Parser:
     common.add_argument("--out", default=None, help="write output to this path instead of stdout")
 
     p = sub.add_parser("gen", parents=[common], help="generate an instance graph")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--kind", choices=["complete", "complete-minus", "random", "root-deletion"],
                    required=True)
     p.add_argument("--n", type=int, required=True)
@@ -132,7 +145,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("verify", parents=[common], help="run a verification suite")
     p.add_argument("suite", choices=sorted(suites_mod.SUITES) + ["all"])
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--n", "--n-max", dest="n_max", type=int, default=None)
     p.add_argument("--a-max", type=int, default=None)
     p.add_argument("--b-max", type=int, default=None)

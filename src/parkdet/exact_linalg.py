@@ -3,11 +3,22 @@
 Everything here is certified arithmetic: determinants come from
 fraction-free (Bareiss) elimination over Python ints, the characteristic
 polynomial from the Faddeev-LeVerrier recurrence (all divisions exact),
-and positive semidefiniteness is decided by symmetric fraction-free
-elimination on positive diagonal pivots rather than from floating-point
-eigenvalues. No floats appear anywhere. `char_poly` and `det_cofactor`
-share no code with `is_psd` and `det`, so the tests use them as
-independent routes.
+and positive semidefiniteness is decided by fraction-free elimination on
+positive diagonal pivots rather than from floating-point eigenvalues. No
+floats appear anywhere.
+
+On a symmetric matrix, `det` and `is_psd` run the same in-place step,
+`_pivot_step`: a symmetric swap brings a diagonal pivot to (k, k), and
+every later row is updated in its upper triangle only, then mirrored.
+The swap conjugates by a permutation matrix P, and det(P A P^T) =
+det(P)^2 det(A) = det(A). The trailing block stays symmetric, and after
+pivoting on the principal set S each of its entries (i, j) is the
+bordered minor det A[S+i, S+j] (Sylvester's identity), so each
+numerator is divisible by the previous pivot det A[S] and every `//` is
+exact. An all-zero row gives all-zero rows under the step, so it needs
+no bookkeeping. Non-symmetric input takes Bareiss's row-pivoted
+elimination. `char_poly` and `det_cofactor` share no code with `is_psd`
+and `det`, so the tests use them as independent routes.
 """
 
 from __future__ import annotations
@@ -38,9 +49,7 @@ class IntMatrix:
         return self.rows[i]
 
     def is_symmetric(self) -> bool:
-        r = self.rows
-        n = len(r)
-        return all(r[i][j] == r[j][i] for i in range(n) for j in range(i + 1, n))
+        return self.rows == tuple(zip(*self.rows))
 
 
 _DECIMAL = re.compile(r"[+-]?[0-9]+")
@@ -79,16 +88,66 @@ def matmul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     return IntMatrix(tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a.rows))
 
 
+def _pivot_step(a: list[list[int]], k: int, s: int, prev: int) -> int:
+    """One symmetric Bareiss step on the trailing block a[k:, k:], in place.
+
+    Swaps row and column s with row and column k, so the diagonal entry
+    a[s][s] becomes the pivot p = a[k][k], then sets every a[i][j] with
+    i, j > k to (a[i][j]*p - a[i][k]*a[k][j]) // prev, computing the upper
+    triangle and mirroring it. Returns p, the next step's `prev`. Later
+    steps read only a[k+1:, k+1:], so rows and columns up to k are left
+    as they are.
+    """
+    n = len(a)
+    if s != k:
+        a[k], a[s] = a[s], a[k]
+        for row in a:
+            row[k], row[s] = row[s], row[k]
+    pivot_row = a[k]
+    p = pivot_row[k]
+    for i in range(k + 1, n):
+        row = a[i]
+        f = row[k]
+        for j in range(i, n):
+            row[j] = a[j][i] = (row[j] * p - f * pivot_row[j]) // prev
+    return p
+
+
 def det(m: IntMatrix) -> int:
     """Exact determinant by Bareiss fraction-free elimination.
 
     Intermediate entries stay integral (each division is exact), so the
     result is a certificate, not an approximation.
+
+    A symmetric matrix is eliminated by `_pivot_step` on the first nonzero
+    diagonal entry of the trailing block. If that diagonal is all zero but
+    some a_sj is not, the congruence "row s += row j, then column s +=
+    column j" first makes a_ss = 2*a_sj. It multiplies by E = I + e_s e_j^T
+    on both sides, det(E) = 1, so it keeps the determinant and the
+    symmetry; it is linear in row and column s, so it keeps each entry a
+    bordered minor of the transformed matrix. An all-zero trailing block
+    gives 0, and otherwise the last pivot is the determinant. A
+    non-symmetric matrix takes row-pivoted elimination.
     """
     n = m.order
     if n == 0:
         return 1
     a = [list(row) for row in m.rows]
+    if m.is_symmetric():
+        prev = 1
+        for k in range(n - 1):
+            s = k if a[k][k] else next((s for s in range(k + 1, n) if a[s][s]), None)
+            if s is None:
+                s, j = next(((s, j) for s in range(k, n) for j in range(s + 1, n) if a[s][j]), (None, None))
+                if s is None:
+                    return 0
+                row_s, row_j = a[s], a[j]
+                for t in range(k, n):
+                    row_s[t] += row_j[t]
+                for row in a[k:]:
+                    row[s] += row[j]
+            prev = _pivot_step(a, k, s, prev)
+        return a[n - 1][n - 1]
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -178,50 +237,41 @@ def char_poly(m: IntMatrix) -> CharPoly:
 
 def is_psd(m: IntMatrix) -> bool:
     """Exact positive-semidefiniteness test for symmetric integer matrices,
-    by fraction-free (Bareiss) elimination on diagonal pivots.
+    by fraction-free (Bareiss) elimination on positive diagonal pivots.
 
-    Each step looks at the remaining matrix A. A negative diagonal entry,
-    or a zero diagonal entry with a nonzero entry in its row, is a
-    negative 1x1 or 2x2 principal minor, so A is not PSD. All-zero rows
-    and their columns are dropped, which keeps PSD-ness either way. Then
-    some positive diagonal entry p = a_kk is the pivot, and every other
-    entry becomes (a_ij*p - a_ik*a_kj) // prev, prev being the previous
-    pivot (1 at the start). The matrix is PSD iff nothing is left.
+    Each step k looks at the trailing block A = a[k:, k:]. A negative
+    diagonal entry, or a zero diagonal entry with a nonzero entry in its
+    row, is a negative 1x1 or 2x2 principal minor, so A is not PSD. If no
+    diagonal entry is positive, A is all zero, hence PSD. Otherwise
+    `_pivot_step` pivots on the first positive diagonal entry p = a_ss.
+    All-zero rows stay all zero and are never chosen as pivots, and they
+    do not change PSD-ness.
 
-    Every division is exact: by Sylvester's identity, after pivoting on
-    the principal set S (in any order) the entry at (i, j) is the minor
-    det M[S+i, S+j], and prev = det M[S] divides the next numerator.
-    Every step keeps PSD-ness: the new matrix is (p/prev) times the Schur
-    complement A/a_kk, with p, prev > 0, and for a_kk > 0 the matrix A is
-    PSD iff A/a_kk is.
+    Every step keeps PSD-ness: the new trailing block is (p/prev) times
+    the Schur complement A/a_ss, with p, prev > 0, and for a_ss > 0 the
+    matrix A is PSD iff A/a_ss is. The symmetric swap is a congruence by a
+    permutation, which keeps PSD-ness too.
     """
     if not m.is_symmetric():
         raise ValueError("is_psd requires a symmetric matrix")
     a = [list(row) for row in m.rows]
+    n = len(a)
     prev = 1
-    while a:
-        live = []
-        for i, row in enumerate(a):
-            if row[i] < 0:
+    for k in range(n):
+        pivot = None
+        for i in range(k, n):
+            row = a[i]
+            d = row[i]
+            if d < 0:
                 return False
-            if row[i]:
-                live.append(i)
-            elif any(row):
+            if d:
+                if pivot is None:
+                    pivot = i
+            elif any(row[k:]):
                 return False
-        if not live:
+        if pivot is None:
             return True
-        k, rest = live[0], live[1:]
-        pivot_row = a[k]
-        p = pivot_row[k]
-        # the next matrix is symmetric too: compute its upper triangle only
-        size = len(rest)
-        b = [[0] * size for _ in range(size)]
-        for x, i in enumerate(rest):
-            row, f, bx = a[i], a[i][k], b[x]
-            for y in range(x, size):
-                j = rest[y]
-                bx[y] = b[y][x] = (row[j] * p - f * pivot_row[j]) // prev
-        a, prev = b, p
+        prev = _pivot_step(a, k, pivot, prev)
     return True
 
 

@@ -75,6 +75,21 @@ def test_gen_round_trips(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == graph_to_json(complete_multigraph(2, 2, 3))
 
 
+@pytest.mark.parametrize("seed", ["-1", str(2**64), "1_0"])
+@pytest.mark.parametrize("argv", [["gen", "--kind", "random", "--n", "3"], ["verify", "rc", "--trials", "1"]])
+def test_seed_outside_64_bits_or_not_decimal_exits_1(argv, seed, capsys):
+    # SplitMix64 masks its seed to 64 bits, so -1 would alias 2**64 - 1
+    assert main([*argv, "--seed", seed]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"usage error: --seed: expected an integer in [0, 2**64), got {seed!r}\n"
+
+
+def test_largest_seed_is_accepted(capsys):
+    assert main(["gen", "--kind", "random", "--n", "3", "--seed", str(2**64 - 1)]) == 0
+    assert capsys.readouterr().out
+
+
 def test_formulas(capsys):
     assert main(["formulas", "--skel1", "3,1,1", "--qdet", "3,1", "--steck", "3,2,2"]) == 0
     out = capsys.readouterr().out

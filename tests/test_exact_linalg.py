@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from parkdet import exact_linalg
@@ -17,6 +17,7 @@ from parkdet.exact_linalg import (
     principal_submatrix,
     transpose,
 )
+from parkdet.formulas import skeleton1_dim_complete
 from parkdet.multigraph import complete_multigraph, laplacians
 
 QT_K4 = matrix([[3, 1, 1], [1, 3, 1], [1, 1, 3]])
@@ -45,6 +46,49 @@ def test_det_singular_and_signs():
     assert det(matrix([[1, 2], [2, 4]])) == 0
     assert det(matrix([[0, 1], [1, 0]])) == -1
     assert det(matrix([[0, 0, 1], [0, 1, 0], [1, 0, 0]])) == -1
+
+
+@pytest.mark.parametrize("rows, value", [
+    ([[0, 1], [1, 0]], -1),  # zero diagonal: congruence at the first step
+    ([[0, 2], [2, 0]], -4),
+    ([[0, 1, 1], [1, 0, 1], [1, 1, 0]], 2),
+    ([[0, 1, 1], [1, 1, 0], [1, 0, 2]], -3),  # symmetric swap of 0 and 1
+    ([[1, 1, 1], [1, 1, 2], [1, 2, 1]], -1),  # congruence after a pivot
+    ([[0, 2, 0, 1], [2, 0, 1, 0], [0, 1, 0, 2], [1, 0, 2, 0]], 9),
+    ([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], 1),
+    ([[0] * 4 for _ in range(4)], 0),
+])
+def test_det_symmetric_zero_diagonals(rows, value):
+    m = matrix(rows)
+    assert m.is_symmetric()
+    assert det(m) == det_cofactor(m) == value
+
+
+@st.composite
+def symmetric_with_zero_diagonals(draw):
+    n = draw(st.integers(min_value=1, max_value=8))
+    upper = draw(int_rows(n, n, 2))
+    zero_diagonal = draw(st.booleans())
+    return matrix([[0 if zero_diagonal and i == j else upper[min(i, j)][max(i, j)] for j in range(n)]
+                   for i in range(n)])
+
+
+@given(symmetric_with_zero_diagonals())
+@settings(max_examples=200)
+def test_symmetric_det_matches_cofactor_oracle(m):
+    assert det(m) == det_cofactor(m)
+
+
+def test_symmetric_det_matches_row_pivoted_det_at_order_40():
+    qt = laplacians(complete_multigraph(40, 3, 2)).qtilde
+    # qtilde is c*I + d*J, so a row transposition P keeps it symmetric
+    # (c*P + d*J); a 4-cycle, an odd permutation, does not
+    rows = list(qt.rows)
+    rotated = matrix(rows[1:4] + rows[:1] + rows[4:])
+    assert not rotated.is_symmetric()
+    d = det(qt)
+    assert det(rotated) == -d
+    assert d == skeleton1_dim_complete(40, 3, 2)
 
 
 def test_cofactor_guard():
@@ -164,14 +208,19 @@ def test_is_psd_edge_cases():
 
 
 def test_is_psd_does_not_call_char_poly(monkeypatch):
-    # keeps char_poly an independent oracle for is_psd
+    # keeps char_poly an independent oracle for is_psd, and det_cofactor
+    # one for det and is_psd
     def refuse(m):
-        raise AssertionError("is_psd called char_poly")
+        raise AssertionError("an oracle was called")
 
     monkeypatch.setattr(exact_linalg, "char_poly", refuse)
+    monkeypatch.setattr(exact_linalg, "det_cofactor", refuse)
     assert is_psd(QT_K4)
     assert not is_psd(matrix([[1, 2], [2, 1]]))
     assert is_psd(matrix([[1, 1, 0], [1, 1, 0], [0, 0, 0]]))
+    assert det(QT_K4) == 20
+    assert det(matrix([[0, 1], [1, 0]])) == -1
+    assert det(matrix([[1, 2], [3, 4]])) == -2
 
 
 def test_dominant_class_examples():
