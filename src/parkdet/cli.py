@@ -86,10 +86,9 @@ def _seed(text: str) -> int:
 
 def _read(path: str, parse):
     """Parse the file at `path`; a malformed file's error names it."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
     try:
-        return parse(text)
+        with open(path, "r", encoding="utf-8") as fh:
+            return parse(fh.read())
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 

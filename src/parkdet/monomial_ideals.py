@@ -13,8 +13,8 @@ diagonal. The two-level step-weight family of the colon recurrence is
 J_H of a weight matrix, built by `matrix_skeleton_ideal` too.
 
 The boundary monomial m_A, where x_i for i in A is raised to the number
-of edges from i to V - A, is written once, in `_boundary`, on a vertex
-bitmask. `parking_ideal` takes it for the connected cuts of the graph
+of edges from i to V - A, is written once, in `_boundary`, on the member
+vertices of A. `parking_ideal` takes it for the connected cuts of the graph
 only, enumerating the connected sets of non-root vertices instead of
 scanning all 2^n subsets; `skeleton_ideal` takes it for every candidate
 subset, so `skeleton_ideal(g, g.n - 1)` is an independent route to the
@@ -26,8 +26,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from itertools import chain, combinations
-from operator import le
-from typing import Iterable
+from operator import le, mul
+from typing import Iterable, Sequence
 
 from .exact_linalg import IntMatrix, has_dominant_diagonal, parse_int
 from .formulas import _check_lambda
@@ -40,29 +40,21 @@ def divides(g: Monomial, m: Monomial) -> bool:
     return all(map(le, g, m))
 
 
-def _pack(m: Monomial, width: int) -> int:
-    """m as one int, x_1 in the top field, each field `width` bits."""
-    p = 0
-    for e in m:
-        p = p << width | e
-    return p
-
-
 def _minimalize(gens: Iterable[Monomial]) -> tuple[Monomial, ...]:
     # Any divisor of g, and any copy of g, sorts lexicographically before g.
-    # Divisibility is tested on packed exponents. Every field is one bit
-    # wider than the largest exponent needs, and its top bit is a guard:
-    # h divides g iff ((G | guard) - H) & guard == guard. Each field of
-    # G | guard exceeds every exponent of H, so the subtraction never
-    # borrows across fields, and a field keeps its guard bit exactly when
-    # g's exponent is at least h's.
+    # Divisibility is tested on exponents packed by place value, G = g . place
+    # with x_1 in the top field. Every field is one bit wider than the largest
+    # exponent needs, and its top bit is a guard: h divides g iff
+    # ((G | guard) - H) & guard == guard. Each field of G | guard exceeds every
+    # exponent of H, so the subtraction never borrows across fields, and a
+    # field keeps its guard bit exactly when g's exponent is at least h's.
     gens = sorted(gens)
     width = max(chain.from_iterable(gens), default=0).bit_length() + 1
-    guard = _pack((1 << width - 1,) * len(gens[0]), width) if gens else 0
-    kept: list[Monomial] = []
-    kept_packed: list[int] = []
+    place = [1 << width * i for i in reversed(range(len(gens[0])))] if gens else []
+    guard = sum(place) << width - 1
+    kept, kept_packed = [], []
     for g in gens:
-        p = _pack(g, width)
+        p = sum(map(mul, g, place))
         top = p | guard
         if not any((top - q) & guard == guard for q in kept_packed):
             kept.append(g)
@@ -101,13 +93,15 @@ class MonomialIdeal:
         return any(divides(g, m) for g in self.gens)
 
 
-def _boundary(g: Multigraph, mask: int) -> Monomial:
-    """m_A for the vertex bitmask `mask` of A: bit i is vertex i, and the
-    root bit is never set."""
-    adj = g.adj
-    outside = [j for j in range(g.n + 1) if not mask >> j & 1]
-    return tuple(sum(adj[i][j] for j in outside) if mask >> i & 1 else 0
-                 for i in range(1, g.n + 1))
+def _boundary(g: Multigraph, members: Sequence[int]) -> Monomial:
+    """m_A for the distinct non-root vertices `members` of A: edges from i
+    to V - A are its degree minus its edges inside A, where the sum over A
+    may include i itself, since `Multigraph` validates a zero diagonal."""
+    adj, m = g.adj, [0] * g.n
+    for i in members:
+        row = adj[i]
+        m[i - 1] = sum(row) - sum(map(row.__getitem__, members))
+    return tuple(m)
 
 
 def boundary_monomial(g: Multigraph, subset: Iterable[int]) -> Monomial:
@@ -118,7 +112,7 @@ def boundary_monomial(g: Multigraph, subset: Iterable[int]) -> Monomial:
         raise ValueError("subset must be nonempty")
     if not a <= frozenset(range(1, g.n + 1)):
         raise ValueError(f"subset {sorted(a)} not contained in [1..{g.n}]")
-    return _boundary(g, sum(1 << i for i in a))
+    return _boundary(g, sorted(a))
 
 
 def skeleton_ideal(g: Multigraph, k: int) -> MonomialIdeal:
@@ -126,7 +120,7 @@ def skeleton_ideal(g: Multigraph, k: int) -> MonomialIdeal:
     at most k+1."""
     if not 0 <= k <= g.n - 1:
         raise ValueError(f"k must lie in [0, {g.n - 1}], got {k}")
-    gens = tuple(_boundary(g, sum(1 << i for i in a)) for size in range(1, k + 2)
+    gens = tuple(_boundary(g, a) for size in range(1, k + 2)
                  for a in combinations(range(1, g.n + 1), size))
     return MonomialIdeal(g.n, gens)
 
@@ -176,7 +170,7 @@ def parking_ideal(g: Multigraph) -> MonomialIdeal:
     while stack:
         a, frontier, excluded = stack.pop()
         if connected(full ^ a):
-            gens.append(_boundary(g, a))
+            gens.append(_boundary(g, [v for v in range(1, n + 1) if a >> v & 1]))
         while frontier:
             w = frontier & -frontier
             frontier ^= w

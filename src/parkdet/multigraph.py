@@ -13,15 +13,17 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import chain
+from operator import neg
 from typing import Iterable, NamedTuple
 
-from .exact_linalg import IntMatrix, matrix, parse_int
+from .exact_linalg import IntMatrix, parse_int
 from .rng import SplitMix64
 
 
 @dataclass(frozen=True)
 class Multigraph:
-    """Symmetric nonnegative adjacency on n+1 vertices, zero diagonal."""
+    """Symmetric nonnegative int adjacency on n+1 vertices, zero diagonal."""
 
     n: int
     adj: tuple[tuple[int, ...], ...]
@@ -32,6 +34,8 @@ class Multigraph:
         size = self.n + 1
         if len(self.adj) != size or any(len(row) != size for row in self.adj):
             raise ValueError(f"adjacency must be {size}x{size}")
+        if set(map(type, chain.from_iterable(self.adj))) - {int}:  # type, not isinstance: bool is rejected
+            raise ValueError("adjacency entries must be ints")
         for i in range(size):
             if self.adj[i][i] != 0:
                 raise ValueError(f"loop at vertex {i}")
@@ -100,13 +104,12 @@ class Laplacians(NamedTuple):
 def laplacians(g: Multigraph) -> Laplacians:
     """Laplacian D - A, signless Laplacian D + A, and their truncations
     (row and column of the root removed)."""
-    degs = g.degrees()
-    size = g.n + 1
-    l = matrix([[(degs[i] if i == j else 0) - g.adj[i][j] for j in range(size)] for i in range(size)])
-    q = matrix([[(degs[i] if i == j else 0) + g.adj[i][j] for j in range(size)] for i in range(size)])
-    lt = matrix([row[1:] for row in l.rows[1:]])
-    qt = matrix([row[1:] for row in q.rows[1:]])
-    return Laplacians(l, q, lt, qt)
+    l, q = [list(map(neg, row)) for row in g.adj], [list(row) for row in g.adj]
+    for i, row in enumerate(g.adj):  # the diagonal of adj is zero
+        l[i][i] = q[i][i] = sum(row)
+    l, q = tuple(map(tuple, l)), tuple(map(tuple, q))
+    return Laplacians(IntMatrix(l), IntMatrix(q),
+                      IntMatrix(tuple(row[1:] for row in l[1:])), IntMatrix(tuple(row[1:] for row in q[1:])))
 
 
 def delete_root_edge(g: Multigraph, j: int) -> Multigraph:

@@ -10,10 +10,10 @@ Bayer-Stillman and Bigatti). It splits the quotient into slices by the
 exponent p of the normal form's first variable: the slice at p is the
 ideal, in the other variables, of the generators with g[0] <= p. It is
 constant between consecutive values of g[0], so each run of equal slices
-is counted once, and the slices are counted recursively down to
-closed-form two-variable staircases. Each slice comes from the previous
-one by dropping what the new generators divide, which keeps it minimally
-generated without a minimalization pass.
+is counted once, and the slices are counted recursively down to closed
+forms: boxes of pure powers and two-variable staircases. Each slice comes
+from the previous one by dropping what the new generators divide, which
+keeps it minimally generated without a minimalization pass.
 
 Three routes independent of the counter check it: an inclusion-exclusion
 count over generator subsets, the enumerator, which walks the box of
@@ -27,6 +27,7 @@ results are Python ints (arbitrary precision).
 from __future__ import annotations
 
 from itertools import groupby, product
+from math import prod
 from operator import itemgetter, le, lt
 from typing import Iterable
 
@@ -70,7 +71,8 @@ def count_standard(ideal: MonomialIdeal) -> int:
 
 def _slice_count(gens: tuple[Monomial, ...], memo: dict) -> int:
     """Standard monomials of the Artinian, non-unit ideal minimally
-    generated by `gens`.
+    generated by `gens`. With as many generators as variables, those are
+    the pure powers, and the standard monomials fill their box.
 
     `memo` maps a normal form under permuting the variables (columns
     sorted, then rows) to its count. The normal form is the same ideal
@@ -91,6 +93,8 @@ def _slice_count(gens: tuple[Monomial, ...], memo: dict) -> int:
     projection h[1:] with h[0] < g[0] never divides g[1:], since h would
     then divide g. So each slice handed down is minimal again.
     """
+    if len(gens) == len(gens[0]):
+        return prod(map(max, gens))
     if len(gens[0]) == 2:
         return _staircase2(gens)
     key = tuple(sorted(zip(*sorted(zip(*gens)))))

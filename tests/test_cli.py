@@ -231,6 +231,19 @@ def test_non_integer_json_input_exits_1(tmp_path, capsys, argv, name, text, mess
     assert captured.err == f"error: {path}: {message}\n"
 
 
+@pytest.mark.parametrize("argv, name", [
+    (["dim", "--graph-file"], "bad.txt"),
+    (["det", "--matrix-file"], "bad.json"),
+])
+def test_non_utf8_input_file_exits_1_naming_it(tmp_path, capsys, argv, name):
+    path = tmp_path / name
+    path.write_bytes(b"\xff\xfe3\n")
+    assert main([*argv, str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {path}: 'utf-8' codec can't decode byte 0xff")
+
+
 @pytest.mark.parametrize("command", ["dim", "ideal"])
 def test_matrix_outside_the_class_names_the_file(tmp_path, capsys, command):
     path = tmp_path / "m.json"

@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -77,6 +79,18 @@ def multigraphs(draw):
         for j in range(1, n + 1):
             adj[0][j] = adj[j][0] = 0
     return Multigraph(n, tuple(tuple(row) for row in adj))
+
+
+@given(multigraphs())
+def test_boundary_monomial_counts_edges_leaving_the_subset(g):
+    for size in range(1, g.n + 1):
+        for a in combinations(range(1, g.n + 1), size):
+            want = [0] * g.n
+            for i in a:
+                for j in range(g.n + 1):
+                    if j not in a:
+                        want[i - 1] += g.adj[i][j]
+            assert boundary_monomial(g, a) == tuple(want)
 
 
 @given(multigraphs())

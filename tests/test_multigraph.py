@@ -2,7 +2,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from parkdet.exact_linalg import det, is_psd, matrix
+from parkdet.exact_linalg import det, is_psd, matrix, principal_submatrix
 from parkdet.multigraph import (
     GraphFormatError,
     Multigraph,
@@ -67,6 +67,21 @@ def test_laplacians():
         assert sum(row) == 0
     for i, row in enumerate(laplacians(K4).q.rows):
         assert sum(row) == 2 * K4.degree(i)
+
+
+@given(multigraphs(max_mult=2**70))
+def test_laplacians_are_degree_minus_and_plus_adjacency(g):
+    lap = laplacians(g)
+    size = g.n + 1
+    for i in range(size):
+        for j in range(size):
+            diagonal = g.degree(i) if i == j else 0
+            assert lap.l[i][j] == diagonal - g.adj[i][j]
+            assert lap.q[i][j] == diagonal + g.adj[i][j]
+    assert lap.l.order == lap.q.order == size
+    assert lap.ltilde == principal_submatrix(lap.l, range(1, size))
+    assert lap.qtilde == principal_submatrix(lap.q, range(1, size))
+    assert all(type(x) is int for m in lap for row in m.rows for x in row)
 
 
 def test_delete_root_edge():
@@ -185,6 +200,11 @@ def test_multigraph_validation():
         Multigraph(1, ((0, 1), (2, 0)))
     with pytest.raises(ValueError):
         Multigraph(1, ((1, 1), (1, 0)))
+    for bad in (True, 1.0, "1"):
+        with pytest.raises(ValueError, match="adjacency entries must be ints"):
+            Multigraph(1, ((0, bad), (bad, 0)))
+    with pytest.raises(ValueError, match="adjacency entries must be ints"):
+        from_edges(1, [(0, 1, 1.5)])
     with pytest.raises(ValueError):
         from_edges(2, [(1, 1, 1)])
 
