@@ -89,7 +89,7 @@ def _read(path: str, parse):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return parse(fh.read())
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ValueError(f"{path}: {exc}") from None
 
 

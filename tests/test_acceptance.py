@@ -172,8 +172,9 @@ def test_criterion_10_decomposition_identities():
         for t in report.trials:
             if "skipped" not in t.instance:
                 ran[t.instance["identity"]] += 1
-        # inapplicable draws are skipped-and-replaced, so each identity
-        # gets exactly 50 checked instances
+        # (a)/(b) draws with no root edge are skipped-and-replaced, and
+        # (c)/(d) always have a pivot, so each identity gets exactly 50
+        # checked instances
         for key in "abcd":
             assert ran[key] == 50, f"identity ({key}) ran {ran[key]} times"
 

@@ -244,6 +244,23 @@ def test_non_utf8_input_file_exits_1_naming_it(tmp_path, capsys, argv, name):
     assert captured.err.startswith(f"error: {path}: 'utf-8' codec can't decode byte 0xff")
 
 
+DEEP = "[" * 100000 + "]" * 100000
+
+
+@pytest.mark.parametrize("argv, name, text", [
+    (["det", "--matrix-file"], "deep.json", DEEP),
+    (["dim", "--matrix-file"], "deep.json", DEEP),
+    (["det", "--graph-file"], "g.json", '{"n": 1, "adj": ' + DEEP + "}"),
+], ids=["det-matrix", "dim-matrix", "det-graph"])
+def test_deeply_nested_json_exits_1_naming_it(tmp_path, capsys, argv, name, text):
+    path = tmp_path / name
+    path.write_text(text)
+    assert main([*argv, str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {path}: maximum recursion depth exceeded")
+
+
 @pytest.mark.parametrize("command", ["dim", "ideal"])
 def test_matrix_outside_the_class_names_the_file(tmp_path, capsys, command):
     path = tmp_path / "m.json"

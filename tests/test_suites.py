@@ -1,7 +1,11 @@
 import json
+from itertools import permutations
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from parkdet.cli import render_reports
-from parkdet.exact_linalg import matrix
+from parkdet.exact_linalg import matrix, principal_submatrix
 from parkdet.suites import (
     SUITES,
     Report,
@@ -69,13 +73,16 @@ def test_recurrence_suite_values():
 
 
 def test_decomp_identities_and_skips():
-    report = suite_decomp(trials=25, seed=7)
-    assert report.exit_code == 0
-    identities = {t.instance["identity"] for t in report.trials}
-    assert identities == {"a", "b", "c", "d"}
-    for t in report.trials:
-        if "skipped" in t.instance:
-            assert t.passed  # skips are not failures
+    for kwargs in ({}, {"trials": 25, "seed": 7}, {"trials": 25, "seed": 20250810}):
+        report = suite_decomp(**kwargs)
+        assert report.exit_code == 0
+        identities = [t.instance["identity"] for t in report.trials]
+        assert set(identities) == {"a", "b", "c", "d"}
+        for t in report.trials:
+            if "skipped" in t.instance:
+                assert t.passed  # skips are not failures
+                assert t.instance["identity"] in "ab"  # the pivot split always exists
+        assert identities.count("c") == identities.count("d") == kwargs.get("trials", 50)
 
 
 def test_decomp_k4_split():
@@ -96,12 +103,37 @@ def test_decomp_k4_split():
     assert count_standard(skeleton_ideal(g2, 1)) == 8
 
 
-def test_pivot_permutation_search():
-    qt_k4 = matrix([[3, 1, 1], [1, 3, 1], [1, 1, 3]])
-    found = _find_pivot_permutation(qt_k4)
-    assert found is not None
+def pivot_permutation_by_search(h):
+    # the former n! search, as the oracle of the constructive pivot split
+    n = h.order
+    b = max(h[i][j] for i in range(n) for j in range(n) if i != j)
+    for perm in permutations(range(n)):
+        hp = principal_submatrix(h, perm)
+        for r in range(n - 1):
+            if all(hp[i][r] < b for i in range(r)) and all(hp[r][j] == b for j in range(r + 1, n)):
+                return hp, r, b
+    return None
+
+
+@st.composite
+def symmetric_matrices(draw):
+    n = draw(st.integers(min_value=2, max_value=6))
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = draw(st.integers(min_value=0, max_value=20))
+        for j in range(i + 1, n):
+            rows[i][j] = rows[j][i] = draw(st.integers(min_value=0, max_value=3))
+    return matrix(rows)
+
+
+@settings(max_examples=200)
+@given(symmetric_matrices())
+@example(matrix([[3, 1, 1], [1, 3, 1], [1, 1, 3]]))
+def test_pivot_permutation_search(h):
+    found = _find_pivot_permutation(h)
+    assert found == pivot_permutation_by_search(h)
     hp, r, b = found
-    assert b == 1
+    assert b == max(h[i][j] for i in range(h.order) for j in range(h.order) if i != j)
     assert all(hp[i][r] < b for i in range(r))
     assert all(hp[r][j] == b for j in range(r + 1, hp.order))
 
