@@ -16,9 +16,10 @@ pivoting on the principal set S each of its entries (i, j) is the
 bordered minor det A[S+i, S+j] (Sylvester's identity), so each
 numerator is divisible by the previous pivot det A[S] and every `//` is
 exact. An all-zero row gives all-zero rows under the step, so it needs
-no bookkeeping. Non-symmetric input takes Bareiss's row-pivoted
-elimination. `char_poly` and `det_cofactor` share no code with `is_psd`
-and `det`, so the tests use them as independent routes.
+no bookkeeping. When no nonzero diagonal entry is left, `det` hands this
+state to Bareiss's row-pivoted elimination, which also runs all of
+non-symmetric input. `char_poly` and `det_cofactor` share no code with
+`is_psd` and `det`, so the tests use them as independent routes.
 """
 
 from __future__ import annotations
@@ -114,43 +115,32 @@ def _pivot_step(a: list[list[int]], k: int, s: int, prev: int) -> int:
 
 
 def det(m: IntMatrix) -> int:
-    """Exact determinant by Bareiss fraction-free elimination.
+    """Exact determinant by Bareiss fraction-free elimination. Every
+    division is exact, so the result is a certificate.
 
-    Intermediate entries stay integral (each division is exact), so the
-    result is a certificate, not an approximation.
-
-    A symmetric matrix is eliminated by `_pivot_step` on the first nonzero
-    diagonal entry of the trailing block. If that diagonal is all zero but
-    some a_sj is not, the congruence "row s += row j, then column s +=
-    column j" first makes a_ss = 2*a_sj. It multiplies by E = I + e_s e_j^T
-    on both sides, det(E) = 1, so it keeps the determinant and the
-    symmetry; it is linear in row and column s, so it keeps each entry a
-    bordered minor of the transformed matrix. An all-zero trailing block
-    gives 0, and otherwise the last pivot is the determinant. A
-    non-symmetric matrix takes row-pivoted elimination.
+    On symmetric input, `_pivot_step` pivots on the first nonzero
+    diagonal entry of the trailing block while there is one; row-pivoted
+    elimination finishes (all of it on non-symmetric input). The handoff
+    is exact: each symmetric step conjugates by a permutation, so after k
+    steps the trailing block is the Bareiss state of P A P^T, whose
+    determinant is det(A), and `_pivot_step` has written both of its
+    triangles. A zero column gives 0; otherwise the last pivot, times the
+    sign of the row swaps, is the determinant.
     """
     n = m.order
     if n == 0:
         return 1
     a = [list(row) for row in m.rows]
+    k, prev = 0, 1
     if m.is_symmetric():
-        prev = 1
-        for k in range(n - 1):
+        while k < n - 1:
             s = k if a[k][k] else next((s for s in range(k + 1, n) if a[s][s]), None)
             if s is None:
-                s, j = next(((s, j) for s in range(k, n) for j in range(s + 1, n) if a[s][j]), (None, None))
-                if s is None:
-                    return 0
-                row_s, row_j = a[s], a[j]
-                for t in range(k, n):
-                    row_s[t] += row_j[t]
-                for row in a[k:]:
-                    row[s] += row[j]
+                break
             prev = _pivot_step(a, k, s, prev)
-        return a[n - 1][n - 1]
+            k += 1
     sign = 1
-    prev = 1
-    for k in range(n - 1):
+    for k in range(k, n - 1):
         if a[k][k] == 0:
             pivot = next((r for r in range(k + 1, n) if a[r][k] != 0), None)
             if pivot is None:
@@ -160,7 +150,6 @@ def det(m: IntMatrix) -> int:
         for i in range(k + 1, n):
             for j in range(k + 1, n):
                 a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
         prev = a[k][k]
     return sign * a[n - 1][n - 1]
 
@@ -249,7 +238,7 @@ def is_psd(m: IntMatrix) -> bool:
 
     Every step keeps PSD-ness: the new trailing block is (p/prev) times
     the Schur complement A/a_ss, with p, prev > 0, and for a_ss > 0 the
-    matrix A is PSD iff A/a_ss is. The symmetric swap is a congruence by a
+    matrix A is PSD iff A/a_ss is. The symmetric swap conjugates by a
     permutation, which keeps PSD-ness too.
     """
     if not m.is_symmetric():

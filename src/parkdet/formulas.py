@@ -155,9 +155,7 @@ def root_deleted_signless_det(n: int, r: int) -> int:
 def _theta(l: int, x: int) -> int:
     """x^(l-1)(x+l) in the simplified rational-function form: l = 0 gives
     1 (x^(-1) * x), and 0^0 counts as 1."""
-    if l < 0:
-        raise FormulaDomainError(f"l must be >= 0, got {l}")
-    return x ** (l - 1) * (x + l) if l else 1
+    return flat_parking_count(l, x) if l else 1
 
 
 def step_weight_dim(n: int, r: int, a: int) -> int:

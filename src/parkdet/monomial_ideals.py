@@ -240,6 +240,8 @@ def colon(ideal: MonomialIdeal, m: Monomial) -> MonomialIdeal:
     """Colon ideal (I : m), generated by g / gcd(g, m) over generators g."""
     if len(m) != ideal.nvars:
         raise ValueError(f"monomial {m} has {len(m)} exponents, expected {ideal.nvars}")
+    if not all(type(e) is int and e >= 0 for e in m):  # type, not isinstance: bool is rejected
+        raise ValueError(f"exponents must be nonnegative ints, got monomial {m}")
     gens = tuple(tuple(max(ge - me, 0) for ge, me in zip(g, m)) for g in ideal.gens)
     return MonomialIdeal(ideal.nvars, gens)
 

@@ -49,11 +49,11 @@ def test_det_singular_and_signs():
 
 
 @pytest.mark.parametrize("rows, value", [
-    ([[0, 1], [1, 0]], -1),  # zero diagonal: congruence at the first step
+    ([[0, 1], [1, 0]], -1),  # zero diagonal: row pivots from the first step
     ([[0, 2], [2, 0]], -4),
     ([[0, 1, 1], [1, 0, 1], [1, 1, 0]], 2),
     ([[0, 1, 1], [1, 1, 0], [1, 0, 2]], -3),  # symmetric swap of 0 and 1
-    ([[1, 1, 1], [1, 1, 2], [1, 2, 1]], -1),  # congruence after a pivot
+    ([[1, 1, 1], [1, 1, 2], [1, 2, 1]], -1),  # row pivots take over after a pivot
     ([[0, 2, 0, 1], [2, 0, 1, 0], [0, 1, 0, 2], [1, 0, 2, 0]], 9),
     ([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], 1),
     ([[0] * 4 for _ in range(4)], 0),
@@ -66,17 +66,36 @@ def test_det_symmetric_zero_diagonals(rows, value):
 
 @st.composite
 def symmetric_with_zero_diagonals(draw):
-    n = draw(st.integers(min_value=1, max_value=8))
-    upper = draw(int_rows(n, n, 2))
-    zero_diagonal = draw(st.booleans())
-    return matrix([[0 if zero_diagonal and i == j else upper[min(i, j)][max(i, j)] for j in range(n)]
-                   for i in range(n)])
+    """(m, expected): a symmetric matrix, often with a zero diagonal, or a
+    conjugate of diag(B, Z) with B = G^T G + I positive definite and Z
+    with a zero diagonal, whose determinant is det(B) * det(Z) (None for
+    the first kind). On the second kind `det` pivots symmetrically
+    exactly order(B) times before row pivots finish."""
+    if draw(st.booleans()):
+        n = draw(st.integers(min_value=1, max_value=8))
+        upper = draw(int_rows(n, n, 2))
+        zero_diagonal = draw(st.booleans())
+        return matrix([[0 if zero_diagonal and i == j else upper[min(i, j)][max(i, j)] for j in range(n)]
+                       for i in range(n)]), None
+    nb = draw(st.integers(min_value=1, max_value=6))
+    nz = draw(st.integers(min_value=2, max_value=6))
+    g = matrix(draw(int_rows(nb, nb, 2)))
+    b = matrix([[x + (i == j) for j, x in enumerate(row)] for i, row in enumerate(matmul(transpose(g), g).rows)])
+    upper = draw(int_rows(nz, nz, 2))
+    z = matrix([[upper[min(i, j)][max(i, j)] if i != j else 0 for j in range(nz)] for i in range(nz)])
+    block = matrix([list(row) + [0] * nz for row in b.rows] + [[0] * nb + list(row) for row in z.rows])
+    return principal_submatrix(block, draw(st.permutations(range(nb + nz)))), det(b) * det(z)
 
 
 @given(symmetric_with_zero_diagonals())
 @settings(max_examples=200)
-def test_symmetric_det_matches_cofactor_oracle(m):
-    assert det(m) == det_cofactor(m)
+def test_symmetric_det_matches_cofactor_oracle(case):
+    m, expected = case
+    assert m.is_symmetric()
+    if expected is not None:
+        assert det(m) == expected
+    if m.order <= 8:
+        assert det(m) == det_cofactor(m)
 
 
 def test_symmetric_det_matches_row_pivoted_det_at_order_40():

@@ -233,6 +233,9 @@ def test_colon_examples():
     assert colon(step_weight_ideal(2, 0, 2), (0, 1)) == step_weight_ideal(2, 1, 2)
     i = skeleton_ideal(K4, 1)
     assert colon(i, (0, 0, 0)) == i
+    for bad in [(-1,), (True,), (0.5,)]:
+        with pytest.raises(ValueError, match=r"monomial \("):
+            colon(MonomialIdeal(1, ((2,),)), bad)
 
 
 @given(
