@@ -16,6 +16,7 @@ import inspect
 import io
 import json
 import sys
+from json.encoder import encode_basestring_ascii
 
 from . import suites as suites_mod
 from .exact_linalg import det, matrix_from_json, parse_int
@@ -84,6 +85,15 @@ def _seed(text: str) -> int:
     return seed
 
 
+def _int_flag(text: str) -> int:
+    """An integer flag value, parsed as strictly as every other integer
+    input (`parse_int`); argparse names the flag in the error."""
+    try:
+        return parse_int(text, "")
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+
+
 def _read(path: str, parse):
     """Parse the file at `path`; a malformed file's error names it."""
     try:
@@ -112,11 +122,11 @@ def build_parser() -> _Parser:
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--kind", choices=["complete", "complete-minus", "random", "root-deletion"],
                    required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--a", type=int, default=1)
-    p.add_argument("--b", type=int, default=1)
-    p.add_argument("--r", type=int, default=0)
-    p.add_argument("--max-mult", type=int, default=2)
+    p.add_argument("--n", type=_int_flag, required=True)
+    p.add_argument("--a", type=_int_flag, default=1)
+    p.add_argument("--b", type=_int_flag, default=1)
+    p.add_argument("--r", type=_int_flag, default=0)
+    p.add_argument("--max-mult", type=_int_flag, default=2)
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.set_defaults(func=_cmd_gen)
 
@@ -145,12 +155,12 @@ def build_parser() -> _Parser:
     p = sub.add_parser("verify", parents=[common], help="run a verification suite")
     p.add_argument("suite", choices=sorted(suites_mod.SUITES) + ["all"])
     p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--n", "--n-max", dest="n_max", type=int, default=None)
-    p.add_argument("--a-max", type=int, default=None)
-    p.add_argument("--b-max", type=int, default=None)
-    p.add_argument("--mult-max", type=int, default=None)
-    p.add_argument("--entry-max", type=int, default=None)
-    p.add_argument("--trials", type=int, default=None)
+    p.add_argument("--n", "--n-max", dest="n_max", type=_int_flag, default=None)
+    p.add_argument("--a-max", type=_int_flag, default=None)
+    p.add_argument("--b-max", type=_int_flag, default=None)
+    p.add_argument("--mult-max", type=_int_flag, default=None)
+    p.add_argument("--entry-max", type=_int_flag, default=None)
+    p.add_argument("--trials", type=_int_flag, default=None)
     p.add_argument("--format", choices=["json", "csv", "text"], default="json")
     p.set_defaults(func=_cmd_verify)
 
@@ -159,7 +169,7 @@ def build_parser() -> _Parser:
 
 def _add_ideal_source(p: argparse.ArgumentParser):
     p.add_argument("--graph-file", default=None, help="graph in text or JSON format")
-    p.add_argument("--skeleton", type=int, default=None, help="skeleton order k (needs --graph-file)")
+    p.add_argument("--skeleton", type=_int_flag, default=None, help="skeleton order k (needs --graph-file)")
     p.add_argument("--lambda-seq", metavar="l1,l2,...", default=None)
     p.add_argument("--step", metavar="n,r,a", default=None)
     p.add_argument("--matrix-file", default=None, help="dominant-class matrix (JSON rows)")
@@ -301,11 +311,13 @@ def _cmd_verify(args) -> int:
 def render_reports(reports: list[suites_mod.Report], fmt: str) -> str:
     """`reports` as `fmt`: "json" (one object for one report, else a list),
     "csv" (one header, then a row per trial) or "text" (one block per
-    report). Only `json.dumps` is called from `json`: bench/tracing.py
-    swaps `json` here for an object that holds only `dumps`."""
+    report). JSON is rendered by `_json_indented`, byte for byte what
+    `json.dumps(..., indent=2)` gives. Only `json.dumps` is called from
+    `json`: bench/tracing.py swaps `json` here for an object that holds
+    only `dumps`."""
     if fmt == "json":
         data = [r.to_dict() for r in reports]
-        return json.dumps(data[0] if len(data) == 1 else data, indent=2) + "\n"
+        return _json_indented(data[0] if len(data) == 1 else data, "") + "\n"
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf)
@@ -317,6 +329,37 @@ def render_reports(reports: list[suites_mod.Report], fmt: str) -> str:
                                  d["formula"] or "", json.dumps(d["instance"])])
         return buf.getvalue()
     return "\n".join(_text_block(r) for r in reports)
+
+
+def _json_indented(o, pad: str) -> str:
+    """`o` as `json.dumps(o, indent=2)` writes it, with every line after
+    the first indented by `pad`, for str, int, bool, None, lists, tuples
+    and dicts with str keys; any other type, key included, raises
+    TypeError naming it. With an indent, json.dumps leaves its C encoder
+    for a pure-Python generator per value; this joins each container
+    once."""
+    if isinstance(o, str):
+        return encode_basestring_ascii(o)
+    if isinstance(o, int):
+        return "true" if o is True else "false" if o is False else int.__repr__(o)
+    if o is None:
+        return "null"
+    inner = pad + "  "
+    sep = ",\n" + inner
+    if isinstance(o, (list, tuple)):
+        if not o:
+            return "[]"
+        if all(type(x) is int for x in o):
+            items = map(int.__repr__, o)
+        else:
+            items = [_json_indented(x, inner) for x in o]
+        return "[\n" + inner + sep.join(items) + "\n" + pad + "]"
+    if isinstance(o, dict):
+        if not o:
+            return "{}"
+        items = [encode_basestring_ascii(k) + ": " + _json_indented(v, inner) for k, v in o.items()]
+        return "{\n" + inner + sep.join(items) + "\n" + pad + "}"
+    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
 
 
 def _text_block(r: suites_mod.Report) -> str:

@@ -18,7 +18,10 @@ keeps it minimally generated without a minimalization pass.
 Three routes independent of the counter check it: an inclusion-exclusion
 count over generator subsets, the enumerator, which walks the box of
 pure-power exponents point by point, and the parking predicates: Dhar's
-burning algorithm for graphs and a sorted comparison for sequences.
+burning algorithm for graphs and a sorted comparison for sequences. The
+inclusion-exclusion count sums its subsets by lcm class: a subset's term
+depends only on its size and its lcm, so grouping equal terms reorders
+the same sum, and the route stays independent of the counter.
 
 Dimensions are monomial counts, so they are field independent; all
 results are Python ints (arbitrary precision).
@@ -28,7 +31,7 @@ from __future__ import annotations
 
 from itertools import groupby, product
 from math import prod
-from operator import itemgetter, le, lt
+from operator import itemgetter, le, lt, sub
 from typing import Iterable
 
 from .formulas import _check_lambda
@@ -123,11 +126,19 @@ def _staircase2(gens: tuple[Monomial, ...]) -> int:
 
 
 def count_standard_ie(ideal: MonomialIdeal) -> int:
-    """Independent oracle: inclusion-exclusion over generator subsets.
+    """Independent oracle: inclusion-exclusion over generator subsets,
+    summed by lcm class.
 
-    Each subset contributes (-1)^|S| times the number of box monomials
-    divisible by lcm(S); subsets whose lcm already escapes the box are
-    pruned together with all their supersets.
+    Each subset S contributes (-1)^|S| times the number of box monomials
+    divisible by lcm(S), a number that depends on lcm(S) alone, so equal
+    terms are added first (the lcm lattice of Gasharov, Peeva and
+    Welker). `coef` maps each lcm to the signed count of the subsets of
+    the generators seen so far that have it, starting from the empty
+    subset at lcm 1. Adding a generator g to each of those subsets
+    subtracts its class's coefficient at lcm(L, g). An lcm outside the
+    box divides no box monomial, and neither does any lcm above it, so
+    it is dropped with all its supersets; a class whose coefficient
+    cancels to 0 is dropped too.
     """
     bounds = artinian_bounds(ideal)
     gens = ideal.gens
@@ -136,32 +147,17 @@ def count_standard_ie(ideal: MonomialIdeal) -> int:
     n = ideal.nvars
     if n == 0:
         return 0 if gens else 1
-
-    def box_multiples(lcm: Monomial) -> int:
-        vol = 1
-        for b, e in zip(bounds, lcm):
-            if e >= b:
-                return 0
-            vol *= b - e
-        return vol
-
-    total = 1
-    for b in bounds:
-        total *= b
-    zero = (0,) * n
-
-    def rec(start: int, lcm: Monomial, sign: int):
-        nonlocal total
-        for k in range(start, len(gens)):
-            merged = tuple(max(a, b) for a, b in zip(lcm, gens[k]))
-            vol = box_multiples(merged)
-            if vol == 0:
-                continue
-            total += sign * vol
-            rec(k + 1, merged, -sign)
-
-    rec(0, zero, -1)
-    return total
+    coef = {(0,) * n: 1}
+    for g in gens:
+        for lcm, c in list(coef.items()):
+            merged = tuple(map(max, lcm, g))
+            if all(map(lt, merged, bounds)):
+                left = coef.get(merged, 0) - c
+                if left:
+                    coef[merged] = left
+                else:
+                    del coef[merged]
+    return sum(c * prod(map(sub, bounds, lcm)) for lcm, c in coef.items())
 
 
 def enumerate_standard(ideal: MonomialIdeal) -> list[Monomial]:

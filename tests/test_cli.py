@@ -3,10 +3,14 @@ import hashlib
 import inspect
 import json
 import re
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from parkdet.cli import build_parser, main
+import parkdet.cli as cli
+from parkdet.cli import _json_indented, build_parser, main, render_reports
 from parkdet.multigraph import complete_multigraph, format_graph, graph_to_json
 from parkdet.suites import SUITES
 
@@ -88,6 +92,33 @@ def test_seed_outside_64_bits_or_not_decimal_exits_1(argv, seed, capsys):
 def test_largest_seed_is_accepted(capsys):
     assert main(["gen", "--kind", "random", "--n", "3", "--seed", str(2**64 - 1)]) == 0
     assert capsys.readouterr().out
+
+
+INT_FLAGS = [
+    ["gen", "--kind", "complete", "--n"],
+    ["gen", "--kind", "complete", "--n", "3", "--a"],
+    ["gen", "--kind", "complete", "--n", "3", "--b"],
+    ["gen", "--kind", "complete-minus", "--n", "3", "--r"],
+    ["gen", "--kind", "random", "--n", "3", "--max-mult"],
+    ["verify", "rc", "--n"],
+    ["verify", "rc", "--a-max"],
+    ["verify", "rc", "--b-max"],
+    ["verify", "ineq", "--mult-max"],
+    ["verify", "mt", "--entry-max"],
+    ["verify", "mt", "--trials"],
+    ["dim", "--lambda-seq", "2,1", "--skeleton"],
+]
+
+
+@pytest.mark.parametrize("value", ["1_0", "\u0663", " 3"])
+@pytest.mark.parametrize("argv", INT_FLAGS, ids=[f"{a[0]}{a[-1]}" for a in INT_FLAGS])
+def test_integer_flags_are_decimal(argv, value, capsys):
+    # int() takes underscores, non-ASCII digits and surrounding spaces
+    assert main([*argv, value]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"usage error: argument {argv[-1]}")  # verify's --n is --n/--n-max
+    assert captured.err.endswith(f": expected an integer, got {value!r}\n")
 
 
 def test_formulas(capsys):
@@ -413,3 +444,39 @@ def test_verify_parameters_at_their_minimums(capsys):
     out = capsys.readouterr().out
     assert 'suite ineq  seed=0  params={"n_max": 5, "mult_max": 1, "trials": 1}' in out
     assert 'suite recurrence  seed=0  params={"n_max": 5, "a_max": 5}' in out
+
+
+json_text = st.text(st.sampled_from('"\\/\x00\x1f\x7f\n\te\u00e9\u20ac\ud800\U0001f600') | st.characters())
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(min_value=2**64) | st.integers(max_value=-2**64)
+    | json_text,
+    lambda inner: st.lists(inner) | st.lists(inner).map(tuple) | st.dictionaries(json_text, inner),
+    max_leaves=40,
+)
+
+
+@given(json_values)
+@example([[0, -1, 2**70], [], {}, [True, 1], ("a", None)])
+@example({"": {"k": [{}]}, "\u00e9\"\\": [[[]]]})
+def test_json_renderer_matches_json_dumps(value):
+    assert _json_indented(value, "") == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize("value, name", [(1.5, "float"), ({1, 2}, "set"), ([0, 1.5], "float"),
+                                         ({"a": {2}}, "set"), ({1: 2}, "int")],
+                         ids=["float", "set", "float-in-list", "set-in-dict", "int-key"])
+def test_json_renderer_rejects_other_types(value, name):
+    with pytest.raises(TypeError, match=rf"\b{name}\b"):
+        _json_indented(value, "")
+
+
+@pytest.mark.parametrize("names", [sorted(SUITES), ["rc"]], ids=["all", "one"])
+def test_render_reports_needs_only_json_dumps(names, monkeypatch):
+    # the benchmark's tracer swaps cli.json for an object holding only dumps
+    reports = [SUITES[name]() for name in names]
+    expected = {fmt: render_reports(reports, fmt) for fmt in ("json", "csv", "text")}
+    data = [r.to_dict() for r in reports]
+    assert expected["json"] == json.dumps(data[0] if len(data) == 1 else data, indent=2) + "\n"
+    monkeypatch.setattr(cli, "json", SimpleNamespace(dumps=json.dumps))
+    for fmt, text in expected.items():
+        assert render_reports(reports, fmt) == text

@@ -1,4 +1,5 @@
 from itertools import combinations, product
+from math import prod
 
 import pytest
 from hypothesis import given
@@ -60,6 +61,34 @@ def test_count_routes_agree_above_eight_bit_exponents():
                   (255, 1, 255), (2, 2, 2), (257, 1, 0), (3, 301, 3)])
     assert len(i.gens) == 7
     assert count_standard(i) == count_standard_ie(i) == 436093
+
+
+def ie_by_subsets(i):
+    # inclusion-exclusion one generator subset at a time, as the oracle of
+    # count_standard_ie's grouping by lcm: each subset S adds (-1)^|S|
+    # times the box monomials divisible by lcm(S), and a subset whose lcm
+    # escapes the box is pruned with all its supersets
+    bounds = standard_count.artinian_bounds(i)
+    gens = i.gens
+    total = prod(bounds)
+
+    def rec(start, lcm, sign):
+        nonlocal total
+        for k in range(start, len(gens)):
+            merged = tuple(max(a, b) for a, b in zip(lcm, gens[k]))
+            if all(e < b for e, b in zip(merged, bounds)):
+                total += sign * prod(b - e for b, e in zip(bounds, merged))
+                rec(k + 1, merged, -sign)
+
+    rec(0, (0,) * i.nvars, -1)
+    return total
+
+
+def test_ie_cancelling_lcm_class():
+    # lcm(xy^3, x^3y) = x^3y^3 = lcm(xy^3, x^2y^2, x^3y): the two subsets
+    # have opposite signs, so the class x^3y^3 sums to 0
+    i = ideal(2, [(5, 0), (0, 5), (1, 3), (2, 2), (3, 1)])
+    assert count_standard_ie(i) == ie_by_subsets(i) == brute_count(i.gens, 2) == 12
 
 
 def test_ie_guard():
@@ -129,6 +158,11 @@ def test_three_counting_routes_agree(i):
     assert walk == count_standard_ie(i)
     assert walk == brute_count(i.gens, i.nvars)
     assert walk == len(enumerate_standard(i))
+
+
+@given(artinian_ideals())
+def test_ie_grouped_by_lcm_matches_subset_sum(i):
+    assert count_standard_ie(i) == ie_by_subsets(i)
 
 
 @given(artinian_ideals())
