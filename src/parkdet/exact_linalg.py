@@ -7,9 +7,10 @@ and positive semidefiniteness is decided by fraction-free elimination on
 positive diagonal pivots rather than from floating-point eigenvalues. No
 floats appear anywhere.
 
-On a symmetric matrix, `det` and `is_psd` run the same in-place step,
-`_pivot_step`: a symmetric swap brings a diagonal pivot to (k, k), and
-every later row is updated in its upper triangle only, then mirrored.
+On a symmetric matrix, `det` and `psd_det` (which `is_psd` reads) run
+the same in-place step, `_pivot_step`: a symmetric swap brings a
+diagonal pivot to (k, k), and every later row is updated in its upper
+triangle only, then mirrored.
 The swap conjugates by a permutation matrix P, and det(P A P^T) =
 det(P)^2 det(A) = det(A). The trailing block stays symmetric, and after
 pivoting on the principal set S each of its entries (i, j) is the
@@ -19,7 +20,7 @@ exact. An all-zero row gives all-zero rows under the step, so it needs
 no bookkeeping. When no nonzero diagonal entry is left, `det` hands this
 state to Bareiss's row-pivoted elimination, which also runs all of
 non-symmetric input. `char_poly` and `det_cofactor` share no code with
-`is_psd` and `det`, so the tests use them as independent routes.
+`psd_det` and `det`, so the tests use them as independent routes.
 """
 
 from __future__ import annotations
@@ -224,25 +225,27 @@ def char_poly(m: IntMatrix) -> CharPoly:
     return CharPoly(tuple(coeffs))
 
 
-def is_psd(m: IntMatrix) -> bool:
-    """Exact positive-semidefiniteness test for symmetric integer matrices,
-    by fraction-free (Bareiss) elimination on positive diagonal pivots.
+def psd_det(m: IntMatrix) -> int | None:
+    """Exact determinant of a symmetric integer matrix if it is positive
+    semidefinite, and None if it is not, by fraction-free (Bareiss)
+    elimination on positive diagonal pivots.
 
     Each step k looks at the trailing block A = a[k:, k:]. A negative
     diagonal entry, or a zero diagonal entry with a nonzero entry in its
     row, is a negative 1x1 or 2x2 principal minor, so A is not PSD. If no
-    diagonal entry is positive, A is all zero, hence PSD. Otherwise
-    `_pivot_step` pivots on the first positive diagonal entry p = a_ss.
-    All-zero rows stay all zero and are never chosen as pivots, and they
-    do not change PSD-ness.
+    diagonal entry is positive, A is all zero, hence PSD and singular.
+    Otherwise `_pivot_step` pivots on the first positive diagonal entry
+    p = a_ss. All-zero rows stay all zero and are never chosen as pivots,
+    and they do not change PSD-ness.
 
     Every step keeps PSD-ness: the new trailing block is (p/prev) times
     the Schur complement A/a_ss, with p, prev > 0, and for a_ss > 0 the
     matrix A is PSD iff A/a_ss is. The symmetric swap conjugates by a
-    permutation, which keeps PSD-ness too.
+    permutation, which keeps PSD-ness and the determinant, so when every
+    step finds a pivot the last one is det(P A P^T) = det(A), as in `det`.
     """
     if not m.is_symmetric():
-        raise ValueError("is_psd requires a symmetric matrix")
+        raise ValueError("the PSD test requires a symmetric matrix")
     a = [list(row) for row in m.rows]
     n = len(a)
     prev = 1
@@ -252,16 +255,22 @@ def is_psd(m: IntMatrix) -> bool:
             row = a[i]
             d = row[i]
             if d < 0:
-                return False
+                return None
             if d:
                 if pivot is None:
                     pivot = i
             elif any(row[k:]):
-                return False
+                return None
         if pivot is None:
-            return True
+            return 0
         prev = _pivot_step(a, k, pivot, prev)
-    return True
+    return prev
+
+
+def is_psd(m: IntMatrix) -> bool:
+    """Exact positive-semidefiniteness test for symmetric integer matrices:
+    `psd_det` finds a determinant."""
+    return psd_det(m) is not None
 
 
 def has_dominant_diagonal(m: IntMatrix) -> bool:
@@ -269,11 +278,8 @@ def has_dominant_diagonal(m: IntMatrix) -> bool:
     entry is at least every off-diagonal entry of its row."""
     if not m.is_symmetric():
         return False
-    n = m.order
-    for i in range(n):
-        if any(x < 0 for x in m[i]):
-            return False
-        if any(m[i][j] > m[i][i] for j in range(n) if j != i):
+    for i, row in enumerate(m.rows):  # max(row) takes row[i] too, which never exceeds itself
+        if min(row) < 0 or max(row) > row[i]:
             return False
     return True
 

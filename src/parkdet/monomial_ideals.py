@@ -4,7 +4,8 @@ A monomial is an exponent tuple; an ideal keeps its minimal generators
 only (minimalization is applied eagerly by the constructor). The
 constructor minimalizes in one lexicographic pass, testing divisibility
 on exponents packed into one int per monomial with a guard bit above
-each field, so one subtraction compares every exponent at once. The zero
+each field. The kept generators are packed side by side into one int
+too, so one subtraction tests a generator against all of them. The zero
 monomial as a generator denotes the unit ideal. Constructors cover the
 parking-function ideal of a rooted multigraph, its k-skeleton subideals,
 the ideal of a nonincreasing exponent sequence, and the skeleton-type
@@ -48,17 +49,32 @@ def _minimalize(gens: Iterable[Monomial]) -> tuple[Monomial, ...]:
     # ((G | guard) - H) & guard == guard. Each field of G | guard exceeds every
     # exponent of H, so the subtraction never borrows across fields, and a
     # field keeps its guard bit exactly when g's exponent is at least h's.
+    # The kept generators are packed side by side into `packed`, one block
+    # of `block` bits each: the fields of kept[i] and a spare bit on top.
+    # `ones` has a 1 at the bottom of each block, `guards` the guard bits of
+    # every block and `spares` every spare bit. Block i of (G | guard) * ones
+    # - packed is (G | guard) - kept[i], which never borrows from the next
+    # block, so one subtraction tests g against every kept generator: block
+    # i of x = guards & ~that is zero exactly when kept[i] divides g. Then
+    # (x | spares) - ones clears a block's spare bit exactly when that block
+    # of x is zero, so g is kept iff every spare bit survives.
     gens = sorted(gens)
+    nvars = len(gens[0]) if gens else 0
     width = max(chain.from_iterable(gens), default=0).bit_length() + 1
-    place = [1 << width * i for i in reversed(range(len(gens[0])))] if gens else []
+    place = [1 << width * i for i in reversed(range(nvars))]
     guard = sum(place) << width - 1
-    kept, kept_packed = [], []
+    block = nvars * width + 1
+    kept, packed, ones, guards, spares, shift = [], 0, 0, 0, 0, 0
     for g in gens:
         p = sum(map(mul, g, place))
-        top = p | guard
-        if not any((top - q) & guard == guard for q in kept_packed):
+        x = guards & ~((p | guard) * ones - packed)
+        if ((x | spares) - ones) & spares == spares:
             kept.append(g)
-            kept_packed.append(p)
+            packed |= p << shift
+            ones |= 1 << shift
+            guards |= guard << shift
+            shift += block
+            spares |= 1 << shift - 1
     return tuple(kept)
 
 

@@ -15,6 +15,7 @@ from parkdet.exact_linalg import (
     matrix_from_json,
     parse_int,
     principal_submatrix,
+    psd_det,
     transpose,
 )
 from parkdet.formulas import skeleton1_dim_complete
@@ -240,6 +241,51 @@ def test_is_psd_does_not_call_char_poly(monkeypatch):
     assert det(QT_K4) == 20
     assert det(matrix([[0, 1], [1, 0]])) == -1
     assert det(matrix([[1, 2], [3, 4]])) == -2
+
+
+@pytest.mark.parametrize("kind", ["deficient-gram", "symmetrized", "zero-diagonal"])
+@given(data=st.data())
+def test_psd_det_is_det_on_psd_input_and_none_otherwise(kind, data):
+    m = data.draw(symmetric_matrices(kind))
+    if psd_by_char_poly(m):
+        assert psd_det(m) == det(m) == det_cofactor(m)
+    else:
+        assert psd_det(m) is None
+
+
+def test_psd_det_examples():
+    assert psd_det(matrix([])) == 1
+    assert psd_det(QT_K4) == 20
+    assert psd_det(matrix([[1, 1, 0], [1, 1, 0], [0, 0, 0]])) == 0
+    assert psd_det(matrix([[0] * 3 for _ in range(3)])) == 0
+    assert psd_det(matrix([[1, 2], [2, 1]])) is None
+    assert psd_det(matrix([[0, 1], [1, 0]])) is None
+    assert psd_det(laplacians(complete_multigraph(40, 3, 2)).qtilde) == skeleton1_dim_complete(40, 3, 2)
+    with pytest.raises(ValueError):
+        psd_det(matrix([[1, 2], [0, 1]]))
+
+
+def dominant_by_entries(m):
+    # the per-entry definition, as the oracle of the row-wise test
+    n = m.order
+    return m.is_symmetric() and all(
+        all(x >= 0 for x in m[i]) and not any(m[i][j] > m[i][i] for j in range(n) if j != i)
+        for i in range(n))
+
+
+@st.composite
+def near_dominant_matrices(draw):
+    # nonnegative and symmetric, with diagonals near the row maxima, so
+    # that both answers are common
+    n = draw(st.integers(min_value=1, max_value=5))
+    a = draw(int_rows(n, n, 3))
+    return matrix([[abs(a[i][j]) + (i == j) if i <= j else abs(a[j][i]) for j in range(n)]
+                   for i in range(n)])
+
+
+@given(st.one_of(small_matrices(entry=3), symmetric_matrices("symmetrized"), near_dominant_matrices()))
+def test_dominant_diagonal_matches_per_entry_definition(m):
+    assert has_dominant_diagonal(m) == dominant_by_entries(m)
 
 
 def test_dominant_class_examples():

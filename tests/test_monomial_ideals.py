@@ -272,18 +272,35 @@ EDGE_EXPONENTS = sorted({e for k in (1, 7, 8, 15, 16, 63, 64) for e in (2**k - 1
 @st.composite
 def generator_lists(draw):
     n = draw(st.integers(min_value=0, max_value=6))
-    exponent = st.one_of(st.integers(min_value=0, max_value=2), st.sampled_from(EDGE_EXPONENTS))
-    gens = draw(st.lists(st.tuples(*[exponent] * n), max_size=12))
+    if draw(st.integers(min_value=0, max_value=3)) == 0:
+        # 100 to 200 generators, so that the kept list, packed into one
+        # int, spans many machine words; drawn from a seeded random
+        # generator, since hypothesis is slow to build lists this long
+        rnd = draw(st.randoms(use_true_random=False))
+        scale = rnd.choice(EDGE_EXPONENTS)
+        gens = [tuple(scale * rnd.randrange(8) for _ in range(n)) for _ in range(rnd.randint(100, 200))]
+    else:
+        exponent = st.one_of(st.integers(min_value=0, max_value=2), st.sampled_from(EDGE_EXPONENTS))
+        gens = draw(st.lists(st.tuples(*[exponent] * n), max_size=12))
     copies = draw(st.lists(st.sampled_from(gens), max_size=3)) if gens else []
     zero = [(0,) * n] if draw(st.booleans()) else []
     return draw(st.permutations(gens + copies + zero))
 
 
-@settings(max_examples=300)
+def antichain(degree, scale=1):
+    # the 3-variable monomials of one total degree: none divides another
+    return [(scale * i, scale * j, scale * (degree - i - j))
+            for i in range(degree + 1) for j in range(degree + 1 - i)]
+
+
+@settings(max_examples=400)  # about a quarter draw the long lists
 @given(generator_lists())
 @example([(2**8,), (1,)])
 @example([(2**8, 0), (1, 0), (0, 2**8)])
 @example([(2**64 - 1, 3), (2**63, 2), (10**30, 2**7)])
+@example(antichain(18) + [(1, 1, 16), (20, 0, 0), (0, 0, 17)])
+@example(antichain(18, 2**64) + [(2**64, 2**64, 2**68)])
+@example(antichain(18)[::-1] + antichain(18) + [(0, 0, 0)])
 def test_minimalize_matches_pairwise_divides(gens):
     distinct = set(gens)
     oracle = sorted(g for g in distinct if not any(h != g and divides(h, g) for h in distinct))

@@ -22,7 +22,7 @@ from parkdet.multigraph import (
     random_multigraph,
 )
 from parkdet.exact_linalg import det
-from parkdet.formulas import skeleton1_dim_complete
+from parkdet.formulas import parking_dim_complete, skeleton1_dim_complete
 from parkdet.standard_count import (
     NonArtinianError,
     count_lambda_parking,
@@ -204,6 +204,15 @@ def test_count_parking_ideal_of_k8():
 def test_count_parking_ideal_of_k10():
     # 10^8 (Cayley), from 1023 generators in 9 variables
     assert count_standard(parking_ideal(complete_multigraph(9, 1, 1))) == 10 ** 8
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+@pytest.mark.parametrize("a, b", [(1, 1), (2, 1), (1, 3), (3, 2)])
+def test_count_dense_parking_ideal_matches_closed_form(n, a, b):
+    # every cut of the complete multigraph is a generator, so the slice
+    # filter sees many multiples per cut; a(a + nb)^(n-1) is independent
+    g = complete_multigraph(n, a, b)
+    assert count_standard(parking_ideal(g)) == parking_dim_complete(n, a, b)
 
 
 def test_count_parking_ideal_of_the_19_cycle():
