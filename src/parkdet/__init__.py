@@ -19,14 +19,11 @@ from .formulas import (
     skeleton1_dim_complete,
     steck_count,
     steck_matrix,
-    steck_poly_flat,
-    steck_poly_progression,
     step_weight_dim,
     step_weight_identity_holds,
 )
 from .monomial_ideals import (
     MonomialIdeal,
-    boundary_monomial,
     colon,
     lambda_ideal,
     matrix_skeleton_ideal,
@@ -47,12 +44,9 @@ from .multigraph import (
 )
 from .standard_count import (
     NonArtinianError,
-    count_lambda_parking,
     count_standard,
     count_standard_ie,
     enumerate_standard,
-    is_g_parking,
-    is_lambda_parking,
 )
 
 __version__ = "0.1.0"

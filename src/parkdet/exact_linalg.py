@@ -193,12 +193,6 @@ class CharPoly:
 
     coeffs: tuple[int, ...]
 
-    def eval(self, x: int) -> int:
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
 
 def char_poly(m: IntMatrix) -> CharPoly:
     """Characteristic polynomial via Faddeev-LeVerrier.

@@ -4,12 +4,14 @@ determinants.
 
 All evaluation is exact. Closed forms whose value is always an integer
 stay in Python ints; fractions.Fraction appears only where a value is
-rational (the Steck matrix and polynomials, and
-`root_deleted_signless_det` at r = n), with an integrality assertion
-wherever an integer is claimed. `steck_count` is the `exact_linalg.det`
-of an integer rescaling of the Steck matrix; the other closed forms stay
-independent of `det`, which they are checked against. Conventions used
-by the degenerate parameter edges are documented on each function.
+rational (the Steck matrix, and `root_deleted_signless_det` at r = n),
+with an integrality assertion wherever an integer is claimed.
+`steck_count` is the `exact_linalg.det` of an integer rescaling of the
+Steck matrix; the other closed forms stay independent of `det`, which
+they are checked against. Conventions used by the degenerate parameter
+edges are documented on each function. `_check_lambda`, the one check of
+nonincreasing sequences, is shared by `steck_matrix`, `lambda_ideal` and
+the tests' lambda-parking oracles.
 """
 
 from __future__ import annotations
@@ -81,21 +83,6 @@ def steck_count(lam: Sequence[int]) -> int:
     if result < 0:
         raise ArithmeticError(f"{what} evaluated negative: {result}")
     return result
-
-
-def steck_poly_progression(n: int, b: int, x: int) -> Fraction:
-    """Steck determinant of the arithmetic progression
-    (x+(n-1)b, ..., x+b, x): x(x+nb)^(n-1) / n!."""
-    if n < 1:
-        raise FormulaDomainError("n must be >= 1")
-    return Fraction(x * (x + n * b) ** (n - 1), factorial(n))
-
-
-def steck_poly_flat(n: int, b: int, x: int) -> Fraction:
-    """Steck determinant of (x+b, x, ..., x): x^(n-1)(x+nb) / n!."""
-    if n < 1:
-        raise FormulaDomainError("n must be >= 1")
-    return Fraction(x ** (n - 1) * (x + n * b), factorial(n))
 
 
 def flat_parking_count(l: int, x: int) -> int:

@@ -30,7 +30,7 @@ from itertools import chain, combinations
 from operator import le, mul
 from typing import Iterable, Sequence
 
-from .exact_linalg import IntMatrix, has_dominant_diagonal, parse_int
+from .exact_linalg import IntMatrix, has_dominant_diagonal
 from .formulas import _check_lambda
 from .multigraph import Multigraph
 
@@ -118,17 +118,6 @@ def _boundary(g: Multigraph, members: Sequence[int]) -> Monomial:
         row = adj[i]
         m[i - 1] = sum(row) - sum(map(row.__getitem__, members))
     return tuple(m)
-
-
-def boundary_monomial(g: Multigraph, subset: Iterable[int]) -> Monomial:
-    """Exponent of x_i is the number of edges from i to outside the subset
-    (0 for vertices not in the subset)."""
-    a = frozenset(subset)
-    if not a:
-        raise ValueError("subset must be nonempty")
-    if not a <= frozenset(range(1, g.n + 1)):
-        raise ValueError(f"subset {sorted(a)} not contained in [1..{g.n}]")
-    return _boundary(g, sorted(a))
 
 
 def skeleton_ideal(g: Multigraph, k: int) -> MonomialIdeal:
@@ -269,14 +258,3 @@ def ideal_to_text(ideal: MonomialIdeal) -> str:
 
 def ideal_to_json(ideal: MonomialIdeal) -> str:
     return json.dumps({"nvars": ideal.nvars, "generators": [[str(e) for e in g] for g in ideal.gens]})
-
-
-def ideal_from_json(text: str) -> MonomialIdeal:
-    data = json.loads(text)
-    if not isinstance(data, dict) or "nvars" not in data or "generators" not in data:
-        raise ValueError('ideal JSON needs an object with the keys "nvars" and "generators"')
-    if not isinstance(data["generators"], list) or not all(isinstance(g, list) for g in data["generators"]):
-        raise ValueError("ideal JSON generators must be a list of lists")
-    gens = tuple(tuple(parse_int(e, f"ideal JSON generator {k}") for e in g)
-                 for k, g in enumerate(data["generators"]))
-    return MonomialIdeal(parse_int(data["nvars"], "ideal JSON nvars"), gens)

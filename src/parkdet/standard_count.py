@@ -17,13 +17,14 @@ keeps it minimally generated without a minimalization pass. A slice is
 kept sorted, so the multiples of a new generator lie in the suffix that
 starts where it would be inserted, and only that suffix is tested.
 
-Three routes independent of the counter check it: an inclusion-exclusion
-count over generator subsets, the enumerator, which walks the box of
-pure-power exponents point by point, and the parking predicates: Dhar's
-burning algorithm for graphs and a sorted comparison for sequences. The
+Two routes here are independent of the counter and check it: an
+inclusion-exclusion count over generator subsets, and the enumerator,
+which walks the box of pure-power exponents point by point. The
 inclusion-exclusion count sums its subsets by lcm class: a subset's term
 depends only on its size and its lcm, so grouping equal terms reorders
-the same sum, and the route stays independent of the counter.
+the same sum, and the route stays independent of the counter. The
+parking predicates, Dhar's burning algorithm for graphs and a sorted
+comparison for sequences, are the tests' oracles and live with them.
 
 Dimensions are monomial counts, so they are field independent; all
 results are Python ints (arbitrary precision).
@@ -32,14 +33,11 @@ results are Python ints (arbitrary precision).
 from __future__ import annotations
 
 from bisect import bisect_left
-from itertools import groupby, product
+from itertools import groupby
 from math import prod
 from operator import itemgetter, le, lt, sub
-from typing import Iterable
 
-from .formulas import _check_lambda
 from .monomial_ideals import Monomial, MonomialIdeal
-from .multigraph import Multigraph
 
 ENUMERATION_GUARD = 10**6
 IE_GENERATOR_GUARD = 22
@@ -207,53 +205,3 @@ def enumerate_standard(ideal: MonomialIdeal) -> list[Monomial]:
 
     rec(0, list(ideal.gens))
     return out
-
-
-def is_lambda_parking(p: Iterable[int], lam: tuple[int, ...]) -> bool:
-    """Sorted rearrangement of p must stay strictly below the reversed
-    bound sequence."""
-    p = tuple(p)
-    lam = _check_lambda(lam)
-    if len(p) != len(lam):
-        raise ValueError(f"vector length {len(p)} != sequence length {len(lam)}")
-    return _sorted_below(p, lam[::-1])
-
-
-def _sorted_below(p: Iterable[int], reversed_lam: tuple[int, ...]) -> bool:
-    return all(map(lt, sorted(p), reversed_lam))
-
-
-def count_lambda_parking(lam: tuple[int, ...]) -> int:
-    """Brute force over the full box [0, lam[0])^n."""
-    lam = _check_lambda(lam)
-    if not lam:
-        return 1
-    reversed_lam = lam[::-1]
-    return sum(_sorted_below(p, reversed_lam) for p in product(range(lam[0]), repeat=len(lam)))
-
-
-def is_g_parking(g: Multigraph, p: Iterable[int]) -> bool:
-    """Dhar's burning algorithm (Dhar, PRL 64, 1990): the fire starts at
-    the root, and vertex i burns once p_i is below its number of edges to
-    burnt vertices; p is G-parking iff every vertex burns.
-
-    This is the subset definition (every nonempty A among the non-root
-    vertices holds an i with p_i below its number of edges leaving A):
-    if the fire stops, the unburnt set violates it, and otherwise the
-    first vertex of any A to burn satisfies it, since every vertex burnt
-    before it lies outside A. O(n^2) per vector."""
-    p = tuple(p)
-    if len(p) != g.n:
-        raise ValueError(f"vector length {len(p)} != {g.n}")
-    heat = list(g.adj[0])  # edges from each vertex to the burnt ones
-    unburnt = set(range(1, g.n + 1))
-    while unburnt:
-        burning = [i for i in unburnt if p[i - 1] < heat[i]]
-        if not burning:
-            return False
-        unburnt.difference_update(burning)
-        for v in burning:
-            row = g.adj[v]
-            for i in unburnt:
-                heat[i] += row[i]
-    return True

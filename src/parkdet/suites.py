@@ -23,7 +23,6 @@ from .exact_linalg import (
     IntMatrix,
     det,
     has_dominant_diagonal,
-    is_psd,
     matmul,
     matrix,
     principal_submatrix,
@@ -149,16 +148,17 @@ def _matrix_instance(h: IntMatrix, label: str = "", **extra) -> dict:
     return inst
 
 
-def _count_vs_det(report: Report, inst: dict, ideal: MonomialIdeal, h: IntMatrix,
+def _count_vs_det(report: Report, inst: dict, ideal: MonomialIdeal, det_h: int,
                   formula: int | None = None, relation: str = "eq"):
-    """Add a trial comparing the quotient dimension of `ideal` with det(h).
-    A non-Artinian ideal is recorded as a failed trial carrying the error."""
+    """Add a trial comparing the quotient dimension of `ideal` with the
+    determinant `det_h`. A non-Artinian ideal is recorded as a failed
+    trial carrying the error."""
     try:
         dim = count_standard(ideal)
     except NonArtinianError as exc:
         report.add({**inst, "error": str(exc)}, 0, 0, relation=relation, passed=False)
         return
-    report.add(inst, dim, det(h), formula, relation)
+    report.add(inst, dim, det_h, formula, relation)
 
 
 # --- instance corpora --------------------------------------------------------
@@ -196,8 +196,9 @@ def default_graph_corpus(seed: int = 0) -> list[tuple[str, Multigraph, int | Non
 
 
 def _random_dominant_psd(rng: SplitMix64, n: int, entry_max: int,
-                         max_attempts: int = 2000) -> tuple[IntMatrix, int, str]:
-    """Seeded PSD matrix in the dominant class with entries <= entry_max.
+                         max_attempts: int = 2000) -> tuple[IntMatrix, int, int, str]:
+    """Seeded PSD matrix in the dominant class with entries <= entry_max,
+    returned with its determinant, which certifying it computes.
 
     Rotates among three strategies (truncated signless Laplacian of a
     random multigraph; diagonally dominant symmetric; Gram matrix with
@@ -232,8 +233,8 @@ def _random_dominant_psd(rng: SplitMix64, n: int, entry_max: int,
             h = matrix(rows)
         if max(max(row) for row in h.rows) > entry_max:
             continue
-        if has_dominant_diagonal(h) and is_psd(h):
-            return h, attempt, strat
+        if has_dominant_diagonal(h) and (det_h := psd_det(h)) is not None:
+            return h, det_h, attempt, strat
     raise ValueError(f"no admissible PSD instance found in {max_attempts} attempts (n={n}, entry_max={entry_max})")
 
 
@@ -270,7 +271,7 @@ def suite_matrix_tree(seed: int = 0) -> Report:
     report = Report("matrix-tree", {"graphs": len(graphs)}, seed)
     for label, g, known in graphs:
         _count_vs_det(report, _graph_instance(g, label), parking_ideal(g),
-                      laplacians(g).ltilde, known)
+                      det(laplacians(g).ltilde), known)
     return report
 
 
@@ -285,7 +286,7 @@ def suite_rc(n_max: int = 5, a_max: int = 3, b_max: int = 3,
         for r in range(0, n + 1):
             g = complete_minus_root_edges(n, r)
             _count_vs_det(report, _graph_instance(g, f"grid n={n} r={r}"), _skel1(g),
-                          laplacians(g).qtilde, root_deleted_signless_det(n, r))
+                          det(laplacians(g).qtilde), root_deleted_signless_det(n, r))
     rng = SplitMix64(seed)
     for _ in range(trials):
         n = rng.randint(1, n_max)
@@ -293,7 +294,7 @@ def suite_rc(n_max: int = 5, a_max: int = 3, b_max: int = 3,
         b = rng.randint(1, b_max)
         g = random_root_deletion(n, a, b, rng.next_u64())
         inst = _graph_instance(g, f"root-deletion n={n} a={a} b={b}")
-        _count_vs_det(report, inst, _skel1(g), laplacians(g).qtilde)
+        _count_vs_det(report, inst, _skel1(g), det(laplacians(g).qtilde))
     return report
 
 
@@ -303,12 +304,12 @@ def suite_ineq(n_max: int = 5, mult_max: int = 3, trials: int = 200, seed: int =
     on four vertices as a deterministic strict-inequality witness."""
     report = Report("ineq", {"n_max": n_max, "mult_max": mult_max, "trials": trials}, seed)
     p4 = path_graph(3)
-    _count_vs_det(report, _graph_instance(p4, "P4"), _skel1(p4), laplacians(p4).qtilde, relation="geq")
+    _count_vs_det(report, _graph_instance(p4, "P4"), _skel1(p4), det(laplacians(p4).qtilde), relation="geq")
     rng = SplitMix64(seed)
     for _ in range(trials):
         n = rng.randint(1, n_max)
         g = random_multigraph(n, mult_max, rng.next_u64())
-        _count_vs_det(report, _graph_instance(g, f"random n={n}"), _skel1(g), laplacians(g).qtilde,
+        _count_vs_det(report, _graph_instance(g, f"random n={n}"), _skel1(g), det(laplacians(g).qtilde),
                       relation="geq")
     return report
 
@@ -321,9 +322,9 @@ def suite_mt(n_max: int = 5, entry_max: int = 6, trials: int = 100, seed: int = 
     rng = SplitMix64(seed)
     for _ in range(trials):
         n = rng.randint(1, n_max)
-        h, attempts, strat = _random_dominant_psd(rng, n, entry_max)
+        h, det_h, attempts, strat = _random_dominant_psd(rng, n, entry_max)
         inst = _matrix_instance(h, f"psd n={n}", strategy=strat, attempts=attempts)
-        _count_vs_det(report, inst, matrix_skeleton_ideal(h), h, relation="geq")
+        _count_vs_det(report, inst, matrix_skeleton_ideal(h), det_h, relation="geq")
     return report
 
 
@@ -422,7 +423,7 @@ def suite_decomp(trials: int = 50, seed: int = 0) -> Report:
 
     for _ in range(trials):
         n = rng.randint(2, 5)
-        h, gen_attempts, strat = _random_dominant_psd(rng, n, 6)
+        h, _, gen_attempts, strat = _random_dominant_psd(rng, n, 6)
         base = _matrix_instance(h, f"pivot-split n={n}", strategy=strat, attempts=gen_attempts)
         hp, r, b = _find_pivot_permutation(h)
         alpha = hp[r][r]

@@ -14,8 +14,6 @@ from parkdet.formulas import (
     root_deleted_signless_det,
     skeleton1_dim_complete,
     steck_count,
-    steck_poly_flat,
-    steck_poly_progression,
     step_weight_dim,
     step_weight_identity_holds,
 )
@@ -31,10 +29,7 @@ from parkdet.multigraph import (
     complete_multigraph,
     laplacians,
 )
-from parkdet.standard_count import (
-    count_lambda_parking,
-    count_standard,
-)
+from parkdet.standard_count import count_standard
 from parkdet.suites import (
     suite_decomp,
     suite_ineq,
@@ -42,6 +37,7 @@ from parkdet.suites import (
     suite_properties,
     suite_rc,
 )
+from oracles import count_lambda_parking, steck_poly_flat, steck_poly_progression
 
 SEED = 20250810
 

@@ -15,14 +15,13 @@ from parkdet.formulas import (
     skeleton1_dim_complete,
     steck_count,
     steck_matrix,
-    steck_poly_flat,
-    steck_poly_progression,
     step_weight_dim,
     step_weight_identity_holds,
 )
 from parkdet.monomial_ideals import lambda_ideal, step_weight_ideal
 from parkdet.multigraph import complete_minus_root_edges, laplacians
-from parkdet.standard_count import count_lambda_parking, count_standard, is_lambda_parking
+from parkdet.standard_count import count_standard
+from oracles import count_lambda_parking, is_lambda_parking, steck_poly_flat, steck_poly_progression
 
 
 def test_steck_matrix_examples():

@@ -1,4 +1,4 @@
-from itertools import combinations, product
+from itertools import combinations, combinations_with_replacement, product
 from math import prod
 
 import pytest
@@ -22,16 +22,14 @@ from parkdet.multigraph import (
     random_multigraph,
 )
 from parkdet.exact_linalg import det
-from parkdet.formulas import parking_dim_complete, skeleton1_dim_complete
+from parkdet.formulas import parking_dim_complete, skeleton1_dim_complete, steck_count
 from parkdet.standard_count import (
     NonArtinianError,
-    count_lambda_parking,
     count_standard,
     count_standard_ie,
     enumerate_standard,
-    is_g_parking,
-    is_lambda_parking,
 )
+from oracles import count_lambda_parking, is_g_parking, is_lambda_parking
 
 K3 = complete_multigraph(2, 1, 1)
 K4 = complete_multigraph(3, 1, 1)
@@ -280,6 +278,19 @@ def test_parking_equivalence(seed):
 @pytest.mark.parametrize("lam", [(1,), (2, 1), (2, 2), (3, 1, 1), (3, 2, 2), (4, 3, 2, 1)])
 def test_lambda_equivalence(lam):
     assert count_lambda_parking(lam) == count_standard(lambda_ideal(lam))
+
+
+def test_lambda_parking_set_equivalence():
+    # the standard monomials of the lambda ideal are the lambda-parking
+    # vectors themselves, for all 69 sequences of length and entries <= 4
+    lams = [tuple(sorted(raw, reverse=True)) for n in range(1, 5)
+            for raw in combinations_with_replacement(range(1, 5), n)]
+    assert len(lams) == 69
+    for lam in lams:
+        standard = set(enumerate_standard(lambda_ideal(lam)))
+        box = product(range(lam[0]), repeat=len(lam))
+        assert standard == {p for p in box if is_lambda_parking(p, lam)}, lam
+        assert len(standard) == steck_count(lam), lam
 
 
 def test_matrix_tree_cross_check():
