@@ -11,8 +11,6 @@ Exit codes: 0 success / all trials passed, 2 at least one failing trial,
 from __future__ import annotations
 
 import argparse
-import csv
-import inspect
 import io
 import json
 import sys
@@ -275,12 +273,22 @@ def _flag(param: str) -> str:
     return "--" + param.replace("_", "-")
 
 
+def _params(fn) -> tuple[str, ...]:
+    """The names of the parameters of `fn`, read from the code of the
+    function at the end of its `functools.wraps` chain: every suite is
+    wrapped by `suites._suite`, and a traced run wraps it again."""
+    while hasattr(fn, "__wrapped__"):
+        fn = fn.__wrapped__
+    code = fn.__code__
+    return code.co_varnames[:code.co_argcount + code.co_kwonlyargcount]
+
+
 def _suite_kwargs(names: list[str], args) -> list[dict]:
     """Keyword arguments for each named suite: the verify flags its
     signature takes. Every value is checked against the suite's minimums
     before any suite runs; a single suite rejects a flag it does not take
     (--seed excepted: recurrence is exhaustive and ignores it)."""
-    signatures = {name: inspect.signature(fn).parameters for name, fn in suites_mod.SUITES.items()}
+    signatures = {name: _params(fn) for name, fn in suites_mod.SUITES.items()}
     given = {p: v for params in signatures.values() for p in params
              if (v := getattr(args, p, None)) is not None}
     out = []
@@ -319,6 +327,8 @@ def render_reports(reports: list[suites_mod.Report], fmt: str) -> str:
         data = [r.to_dict() for r in reports]
         return _json_indented(data[0] if len(data) == 1 else data, "") + "\n"
     if fmt == "csv":
+        import csv  # here, not at import: only this branch writes CSV
+
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(["suite", "id", "relation", "pass", "dim", "det", "formula", "instance"])

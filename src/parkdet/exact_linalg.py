@@ -27,19 +27,53 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 
-@dataclass(frozen=True)
-class IntMatrix:
+class _Frozen:
+    """Base of the package's immutable value types. Each subclass names
+    its fields in `__slots__` and sets them in its own `__init__` with
+    `object.__setattr__`. Values are equal when their classes are the same
+    and their fields are equal, hash as the tuple of their fields, and
+    print as `Name(field=value, ...)`."""
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __reduce__(self):  # copy and pickle call __init__, not __setattr__
+        return self.__class__, self._fields()
+
+
+class IntMatrix(_Frozen):
     """Square matrix of arbitrary-precision integers, stored as row tuples."""
 
+    __slots__ = ("rows",)
     rows: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self):
-        n = len(self.rows)
-        for row in self.rows:
+    def __init__(self, rows: tuple[tuple[int, ...], ...]):
+        object.__setattr__(self, "rows", rows)
+        n = len(rows)
+        for row in rows:
             if len(row) != n:
                 raise ValueError(f"matrix is not square: {len(row)} entries in a row of a {n}x{n} matrix")
 
@@ -187,11 +221,14 @@ def det_cofactor(m: IntMatrix) -> int:
     return expand(idx, idx)
 
 
-@dataclass(frozen=True)
-class CharPoly:
+class CharPoly(_Frozen):
     """det(xI - M) with exact integer coefficients, ascending by power."""
 
+    __slots__ = ("coeffs",)
     coeffs: tuple[int, ...]
+
+    def __init__(self, coeffs: tuple[int, ...]):
+        object.__setattr__(self, "coeffs", coeffs)
 
 
 def char_poly(m: IntMatrix) -> CharPoly:

@@ -3,9 +3,9 @@ expressions for quotient dimensions and truncated signless Laplacian
 determinants.
 
 All evaluation is exact. Closed forms whose value is always an integer
-stay in Python ints; fractions.Fraction appears only where a value is
-rational (the Steck matrix, and `root_deleted_signless_det` at r = n),
-with an integrality assertion wherever an integer is claimed.
+stay in Python ints; fractions.Fraction appears only in the Steck matrix,
+whose entries are rational, with an integrality assertion wherever an
+integer is claimed.
 `steck_count` is the `exact_linalg.det` of an integer rescaling of the
 Steck matrix; the other closed forms stay independent of `det`, which
 they are checked against. Conventions used by the degenerate parameter
@@ -16,7 +16,6 @@ the tests' lambda-parking oracles.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import comb, factorial
 from typing import Sequence
 
@@ -43,6 +42,8 @@ def _check_lambda(lam: Sequence[int]) -> tuple[int, ...]:
 def steck_matrix(lam: Sequence[int]) -> list[list[Fraction]]:
     """Upper-Hessenberg Steck matrix: entry (i, j) is
     lam[n-i]^(j-i+1) / (j-i+1)! for i <= j+1 (1-based), else 0."""
+    from fractions import Fraction  # here, not at import: no other closed form needs it
+
     lam = _check_lambda(lam)
     if not lam:
         raise FormulaDomainError("empty sequence")
@@ -119,21 +120,26 @@ def root_deleted_signless_det(n: int, r: int) -> int:
 
         (n-1)^(n-r-1) * [ (2n-1)(n-2)^r + r(n-2)^(r-1) ]
 
-    evaluated exactly with the conventions 0^0 = 1, the second bracket
-    term vanishing at r = 0, and the leading factor becoming the rational
-    (n-1)^(-1) at r = n, the one value that is not an integer. The final
-    value is asserted to be a nonnegative integer.
+    evaluated exactly in ints with the conventions 0^0 = 1 and the second
+    bracket term vanishing at r = 0. At r = n the leading factor is
+    (n-1)^(-1), so the bracket is divided by n - 1, and a nonzero
+    remainder raises ArithmeticError. The final value is asserted to be
+    nonnegative.
     """
     if n < 2:
         raise FormulaDomainError(f"n must be >= 2, got {n}")
     if not 0 <= r <= n:
         raise FormulaDomainError(f"r must lie in [0, {n}], got {r}")
-    lead = Fraction(n - 1) ** (n - r - 1)
     bracket = (2 * n - 1) * (n - 2) ** r
     if r > 0:
         bracket += r * (n - 2) ** (r - 1)
-    value = lead * bracket
-    result = _as_int(value, f"root_deleted_signless_det({n}, {r})")
+    if r < n:
+        result = (n - 1) ** (n - r - 1) * bracket
+    else:
+        result, remainder = divmod(bracket, n - 1)
+        if remainder:
+            raise ArithmeticError(f"root_deleted_signless_det({n}, {r}) evaluated to non-integer "
+                                  f"{bracket}/{n - 1}")
     if result < 0:
         raise FormulaDomainError(f"root_deleted_signless_det({n}, {r}) negative: {result}")
     return result

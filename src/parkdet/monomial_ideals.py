@@ -25,12 +25,11 @@ same ideal.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from itertools import chain, combinations
 from operator import le, mul
 from typing import Iterable, Sequence
 
-from .exact_linalg import IntMatrix, has_dominant_diagonal
+from .exact_linalg import IntMatrix, _Frozen, has_dominant_diagonal
 from .formulas import _check_lambda
 from .multigraph import Multigraph
 
@@ -78,26 +77,27 @@ def _minimalize(gens: Iterable[Monomial]) -> tuple[Monomial, ...]:
     return tuple(kept)
 
 
-@dataclass(frozen=True)
-class MonomialIdeal:
+class MonomialIdeal(_Frozen):
     """nvars and the minimal generators, canonically sorted.
 
     Equality of two MonomialIdeal values is equality of ideals, since
     minimal generating sets of monomial ideals are unique.
     """
 
+    __slots__ = ("nvars", "gens")
     nvars: int
     gens: tuple[Monomial, ...]
 
-    def __post_init__(self):
-        if self.nvars < 0:
+    def __init__(self, nvars: int, gens: tuple[Monomial, ...]):
+        object.__setattr__(self, "nvars", nvars)
+        if nvars < 0:
             raise ValueError("nvars must be >= 0")
-        for g in self.gens:
-            if len(g) != self.nvars:
-                raise ValueError(f"generator {g} has {len(g)} exponents, expected {self.nvars}")
+        for g in gens:
+            if len(g) != nvars:
+                raise ValueError(f"generator {g} has {len(g)} exponents, expected {nvars}")
             if not all(type(e) is int and e >= 0 for e in g):  # type, not isinstance: bool is rejected
                 raise ValueError(f"exponents must be nonnegative ints, got generator {g}")
-        object.__setattr__(self, "gens", _minimalize(self.gens))
+        object.__setattr__(self, "gens", _minimalize(gens))
 
     @property
     def is_unit(self) -> bool:

@@ -12,37 +12,38 @@ directly), and every edge list is read off by `_edges`.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from itertools import chain
 from operator import neg
 from typing import Iterable, NamedTuple
 
-from .exact_linalg import IntMatrix, parse_int
+from .exact_linalg import IntMatrix, _Frozen, parse_int
 from .rng import SplitMix64
 
 
-@dataclass(frozen=True)
-class Multigraph:
+class Multigraph(_Frozen):
     """Symmetric nonnegative int adjacency on n+1 vertices, zero diagonal."""
 
+    __slots__ = ("n", "adj")
     n: int
     adj: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"need at least one non-root vertex, got n={self.n}")
-        size = self.n + 1
-        if len(self.adj) != size or any(len(row) != size for row in self.adj):
+    def __init__(self, n: int, adj: tuple[tuple[int, ...], ...]):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "adj", adj)
+        if n < 1:
+            raise ValueError(f"need at least one non-root vertex, got n={n}")
+        size = n + 1
+        if len(adj) != size or any(len(row) != size for row in adj):
             raise ValueError(f"adjacency must be {size}x{size}")
-        if set(map(type, chain.from_iterable(self.adj))) - {int}:  # type, not isinstance: bool is rejected
+        if set(map(type, chain.from_iterable(adj))) - {int}:  # type, not isinstance: bool is rejected
             raise ValueError("adjacency entries must be ints")
         for i in range(size):
-            if self.adj[i][i] != 0:
+            if adj[i][i] != 0:
                 raise ValueError(f"loop at vertex {i}")
             for j in range(i + 1, size):
-                if self.adj[i][j] != self.adj[j][i]:
+                if adj[i][j] != adj[j][i]:
                     raise ValueError(f"adjacency not symmetric at ({i},{j})")
-                if self.adj[i][j] < 0:
+                if adj[i][j] < 0:
                     raise ValueError(f"negative multiplicity at ({i},{j})")
 
     def degree(self, i: int) -> int:

@@ -16,11 +16,11 @@ from __future__ import annotations
 
 import functools
 import time
-from dataclasses import dataclass, field
 from typing import Callable
 
 from .exact_linalg import (
     IntMatrix,
+    _Frozen,
     det,
     has_dominant_diagonal,
     matmul,
@@ -64,8 +64,8 @@ from .standard_count import (
 )
 
 
-@dataclass(frozen=True)
-class Trial:
+class Trial(_Frozen):
+    __slots__ = ("id", "instance", "dim", "det", "formula", "relation", "passed")
     id: int
     instance: dict
     dim: int
@@ -73,6 +73,16 @@ class Trial:
     formula: int | None
     relation: str  # "eq" | "geq"
     passed: bool
+
+    def __init__(self, id: int, instance: dict, dim: int, det: int, formula: int | None,
+                 relation: str, passed: bool):
+        object.__setattr__(self, "id", id)
+        object.__setattr__(self, "instance", instance)
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "det", det)
+        object.__setattr__(self, "formula", formula)
+        object.__setattr__(self, "relation", relation)
+        object.__setattr__(self, "passed", passed)
 
     def to_dict(self) -> dict:
         return {
@@ -86,13 +96,16 @@ class Trial:
         }
 
 
-@dataclass
 class Report:
-    suite: str
-    params: dict
-    seed: int
-    trials: list[Trial] = field(default_factory=list)
-    elapsed_ms: int = 0
+    __slots__ = ("suite", "params", "seed", "trials", "elapsed_ms")
+
+    def __init__(self, suite: str, params: dict, seed: int, trials: list[Trial] | None = None,
+                 elapsed_ms: int = 0):
+        self.suite = suite
+        self.params = params
+        self.seed = seed
+        self.trials = [] if trials is None else trials
+        self.elapsed_ms = elapsed_ms
 
     @property
     def failed(self) -> list[Trial]:

@@ -1,8 +1,13 @@
 import argparse
+import functools
 import hashlib
 import inspect
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -402,6 +407,57 @@ def test_suite_signatures_match_verify_flags():
         assert params <= flags, name
         taken |= params
     assert taken == flags
+
+
+def test_suite_params_read_through_every_wrapper():
+    def traced(fn):
+        @functools.wraps(fn)
+        def run(*args, **kwargs):
+            return fn(*args, **kwargs)
+        return run
+
+    def plain(seed=0, *, trials=1):
+        return seed, trials
+
+    for name, fn in SUITES.items():
+        expected = tuple(inspect.signature(fn).parameters)
+        assert cli._params(fn) == expected, name
+        assert cli._params(traced(fn)) == expected, name
+    assert cli._params(plain) == ("seed", "trials")
+
+
+def test_rewrapped_suite_still_takes_its_flags(monkeypatch, capsys):
+    # the benchmark's tracer wraps each suite once more with functools.wraps
+    rc = SUITES["rc"]
+    monkeypatch.setitem(SUITES, "rc", functools.wraps(rc)(lambda *args, **kwargs: rc(*args, **kwargs)))
+    assert main(["verify", "rc", "--n", "2", "--trials", "3", "--seed", "5"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["seed"] == 5 and report["params"]["n_max"] == 2
+
+
+# Importing the CLI loads none of these: they cost start-up time, and only
+# a command that needs one imports it.
+IMPORT_HYGIENE = """
+import sys
+before = set(sys.modules)
+import parkdet.cli
+loaded = sorted({"dataclasses", "inspect", "fractions", "csv"} & (set(sys.modules) - before))
+assert not loaded, f"importing parkdet.cli loaded {loaded}"
+from parkdet.formulas import steck_count
+assert steck_count((3, 2, 2)) == 20
+assert parkdet.cli.main(["verify", "rc", "--n", "2", "--trials", "1", "--format", "csv"]) == 0
+"""
+
+
+def test_cli_import_loads_no_unused_stdlib():
+    import parkdet
+
+    src = str(Path(parkdet.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    done = subprocess.run([sys.executable, "-c", IMPORT_HYGIENE], env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("suite,id,relation,pass,dim,det,formula,instance")
 
 
 @pytest.mark.parametrize("argv, message", [

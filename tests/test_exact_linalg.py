@@ -1,9 +1,14 @@
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from parkdet import exact_linalg
 from parkdet.exact_linalg import (
+    CharPoly,
+    IntMatrix,
     char_poly,
     det,
     det_cofactor,
@@ -19,7 +24,9 @@ from parkdet.exact_linalg import (
     transpose,
 )
 from parkdet.formulas import skeleton1_dim_complete
-from parkdet.multigraph import complete_multigraph, laplacians
+from parkdet.monomial_ideals import MonomialIdeal
+from parkdet.multigraph import Multigraph, complete_multigraph, laplacians
+from parkdet.suites import Trial
 
 QT_K4 = matrix([[3, 1, 1], [1, 3, 1], [1, 1, 3]])
 LT_K4 = matrix([[3, -1, -1], [-1, 3, -1], [-1, -1, 3]])
@@ -327,3 +334,66 @@ def test_parse_int_rejects_non_integers(bad):
 def test_matrix_json_rejects_non_integers(text):
     with pytest.raises(ValueError):
         matrix_from_json(text)
+
+
+# Each frozen value type: a maker called twice for two equal values, a value
+# that differs in one field, and the repr the dataclass it replaced wrote.
+FROZEN = {
+    "IntMatrix": (lambda: IntMatrix(((1,),)), IntMatrix(((2,),)), "IntMatrix(rows=((1,),))"),
+    "CharPoly": (lambda: CharPoly((-3, 1)), CharPoly((-3, 2)), "CharPoly(coeffs=(-3, 1))"),
+    "Multigraph": (lambda: Multigraph(1, ((0, 2), (2, 0))), Multigraph(1, ((0, 1), (1, 0))),
+                   "Multigraph(n=1, adj=((0, 2), (2, 0)))"),
+    "MonomialIdeal": (lambda: MonomialIdeal(2, ((1, 0), (2, 0), (0, 1))), MonomialIdeal(2, ((1, 0),)),
+                      "MonomialIdeal(nvars=2, gens=((0, 1), (1, 0)))"),
+    "Trial": (lambda: Trial(0, {"label": "x"}, 1, 2, None, "eq", False),
+              Trial(0, {"label": "x"}, 1, 2, None, "eq", True),
+              "Trial(id=0, instance={'label': 'x'}, dim=1, det=2, formula=None, relation='eq', passed=False)"),
+}
+HASHABLE = ["IntMatrix", "CharPoly", "Multigraph", "MonomialIdeal"]
+
+
+@pytest.mark.parametrize("name", FROZEN)
+def test_frozen_values_compare_by_fields(name):
+    make, other, text = FROZEN[name]
+    a, b = make(), make()
+    assert a is not b and a == b and not a != b
+    assert a != other
+    assert repr(a) == text
+    assert copy.deepcopy(a) == a and pickle.loads(pickle.dumps(a)) == a
+
+
+@pytest.mark.parametrize("name", FROZEN)
+def test_frozen_values_reject_assignment_and_deletion(name):
+    make, _, text = FROZEN[name]
+    a = make()
+    for field in a.__slots__:
+        with pytest.raises(AttributeError):
+            setattr(a, field, None)
+        with pytest.raises(AttributeError):
+            delattr(a, field)
+    with pytest.raises(AttributeError):
+        a.extra = 1
+    assert repr(a) == text
+
+
+@pytest.mark.parametrize("name", HASHABLE)
+def test_frozen_values_are_dict_keys(name):
+    make, other, _ = FROZEN[name]
+    table = {make(): "a", other: "other"}
+    assert table[make()] == "a" and len(table) == 2
+    assert hash(make()) == hash(make())
+
+
+def test_frozen_values_equal_only_their_own_class():
+    rows = ((1,),)
+    assert IntMatrix(rows) != CharPoly(rows)
+    assert IntMatrix(rows).__eq__(CharPoly(rows)) is NotImplemented
+    assert IntMatrix(rows).__eq__((rows,)) is NotImplemented
+    assert IntMatrix(rows) != (rows,)
+
+
+def test_trial_is_unhashable():
+    # a trial holds its instance as a dict
+    make, _, _ = FROZEN["Trial"]
+    with pytest.raises(TypeError):
+        hash(make())

@@ -86,11 +86,24 @@ def test_root_deleted_signless_det_examples():
         root_deleted_signless_det(3, 4)
 
 
-@pytest.mark.parametrize("n", range(2, 7))
+@pytest.mark.parametrize("n", range(2, 11))
 def test_root_deleted_det_matches_elimination(n):
     for r in range(n + 1):
         g = complete_minus_root_edges(n, r)
         assert root_deleted_signless_det(n, r) == det(laplacians(g).qtilde)
+
+
+def root_deleted_fraction(n: int, r: int) -> Fraction:
+    """The closed form of `root_deleted_signless_det` in Fractions, the
+    leading factor (n-1)^(n-r-1) rational at r = n."""
+    bracket = (2 * n - 1) * (n - 2) ** r + (r * (n - 2) ** (r - 1) if r else 0)
+    return Fraction(n - 1) ** (n - r - 1) * bracket
+
+
+def test_root_deleted_det_int_route_matches_fraction_oracle():
+    for n in range(2, 41):
+        for r in range(n + 1):
+            assert root_deleted_signless_det(n, r) == root_deleted_fraction(n, r), (n, r)
 
 
 def test_step_weight_dim_examples():

@@ -185,6 +185,18 @@ def test_failed_trial_flips_exit_code():
     assert len(report.failed) == 1
 
 
+def test_report_constructor_defaults_and_mutability():
+    a, b = Report("demo", {"n_max": 2}, 3), Report("demo", {}, 0)
+    assert (a.suite, a.params, a.seed, a.trials, a.elapsed_ms) == ("demo", {"n_max": 2}, 3, [], 0)
+    a.add({"label": "x"}, 1, 1)
+    assert len(a.trials) == 1 and b.trials == []  # each report gets its own list
+    trials = [Trial(0, {}, 1, 2, None, "eq", False)]
+    c = Report(suite="demo", params={}, seed=0, trials=trials, elapsed_ms=5)
+    assert c.trials is trials and c.elapsed_ms == 5
+    c.elapsed_ms = 7
+    assert c.to_dict()["summary"] == {"total": 1, "failed": 1, "elapsed_ms": 7}
+
+
 def test_corpus_is_deterministic():
     a = default_graph_corpus(3)
     b = default_graph_corpus(3)
