@@ -15,17 +15,22 @@ J_H of a weight matrix, built by `matrix_skeleton_ideal` too.
 
 The boundary monomial m_A, where x_i for i in A is raised to the number
 of edges from i to V - A, is written once, in `_boundary`, on the member
-vertices of A. `parking_ideal` takes it for the connected cuts of the graph
-only, enumerating the connected sets of non-root vertices instead of
-scanning all 2^n subsets; `skeleton_ideal` takes it for every candidate
-subset, so `skeleton_ideal(g, g.n - 1)` is an independent route to the
-same ideal.
+vertices of A and the degrees, which each constructor sums once.
+`parking_ideal` takes it for the connected cuts of the graph only,
+enumerating the connected sets of non-root vertices instead of scanning
+all 2^n subsets. `skeleton_ideal` scans every candidate subset with
+`combinations` and takes it for those that induce a connected subgraph
+of G - root, since any other m_A is the product of its components'
+monomials. It neither grows connected sets nor asks that V - A be
+connected, so `skeleton_ideal(g, g.n - 1)` is still an independent route
+to the parking ideal. `matrix_skeleton_ideal` leaves out the pairs with
+h_ij = 0, whose monomials are multiples of pure powers.
 """
 
 from __future__ import annotations
 
 import json
-from itertools import chain, combinations
+from itertools import chain, combinations, compress
 from operator import le, mul
 from typing import Iterable, Sequence
 
@@ -109,25 +114,53 @@ class MonomialIdeal(_Frozen):
         return any(divides(g, m) for g in self.gens)
 
 
-def _boundary(g: Multigraph, members: Sequence[int]) -> Monomial:
-    """m_A for the distinct non-root vertices `members` of A: edges from i
-    to V - A are its degree minus its edges inside A, where the sum over A
-    may include i itself, since `Multigraph` validates a zero diagonal."""
+def _boundary(g: Multigraph, members: Sequence[int], deg: Sequence[int]) -> Monomial:
+    """m_A for the distinct non-root vertices `members` of A, given the
+    degree `deg[i]` of each vertex i: edges from i to V - A are its degree
+    minus its edges inside A, where the sum over A may include i itself,
+    since `Multigraph` validates a zero diagonal."""
     adj, m = g.adj, [0] * g.n
     for i in members:
-        row = adj[i]
-        m[i - 1] = sum(row) - sum(map(row.__getitem__, members))
+        m[i - 1] = deg[i] - sum(map(adj[i].__getitem__, members))
     return tuple(m)
 
 
 def skeleton_ideal(g: Multigraph, k: int) -> MonomialIdeal:
     """Generated by the boundary monomials of all nonempty subsets of size
-    at most k+1."""
+    at most k+1; built from the subsets that induce a connected subgraph
+    of G - root only.
+
+    If G|A splits into A1 and A2 with no edge between them, a vertex of
+    A1 has the same edges inside A as inside A1, so m_A = m_A1 * m_A2, and
+    m_A1, of a smaller subset, is a generator already. Inductively every
+    m_A is a multiple of the m_C of a connected subset C of A. For k = 1
+    the subsets left out are exactly the non-adjacent pairs.
+    """
     if not 0 <= k <= g.n - 1:
         raise ValueError(f"k must lie in [0, {g.n - 1}], got {k}")
-    gens = tuple(_boundary(g, a) for size in range(1, k + 2)
-                 for a in combinations(range(1, g.n + 1), size))
-    return MonomialIdeal(g.n, gens)
+    n, adj = g.n, g.adj
+    deg = [sum(row) for row in adj]
+    # bit v stands for non-root vertex v; the root has none
+    bit = [0] + [1 << v for v in range(1, n + 1)]
+    nbr = [sum(compress(bit, row)) for row in adj]
+
+    def connected(a: tuple[int, ...]) -> bool:
+        # a search from a[0], one layer at a time, until no member is left
+        unreached = sum(map(bit.__getitem__, a)) ^ bit[a[0]]
+        layer = nbr[a[0]] & unreached
+        while layer:
+            unreached ^= layer
+            grown = 0
+            while layer:
+                v = layer & -layer
+                layer ^= v
+                grown |= nbr[v.bit_length() - 1]
+            layer = grown & unreached
+        return not unreached
+
+    gens = [_boundary(g, a, deg) for size in range(1, k + 2)
+            for a in combinations(range(1, n + 1), size) if connected(a)]
+    return MonomialIdeal(n, tuple(gens))
 
 
 def parking_ideal(g: Multigraph) -> MonomialIdeal:
@@ -167,6 +200,7 @@ def parking_ideal(g: Multigraph) -> MonomialIdeal:
 
     if not connected(full):
         return MonomialIdeal(n, ((0,) * n,))
+    deg = [sum(row) for row in adj]
     gens = []
     # (A, frontier, excluded): the excluded mask holds the root, A, the
     # frontier and every vertex already decided against
@@ -175,7 +209,7 @@ def parking_ideal(g: Multigraph) -> MonomialIdeal:
     while stack:
         a, frontier, excluded = stack.pop()
         if connected(full ^ a):
-            gens.append(_boundary(g, [v for v in range(1, n + 1) if a >> v & 1]))
+            gens.append(_boundary(g, [v for v in range(1, n + 1) if a >> v & 1], deg))
         while frontier:
             w = frontier & -frontier
             frontier ^= w
@@ -234,6 +268,8 @@ def matrix_skeleton_ideal(h: IntMatrix) -> MonomialIdeal:
         gens.append(tuple(g))
     for i in range(n):
         for j in range(i + 1, n):
+            if not h[i][j]:  # x_i^h_ii x_j^h_jj, a multiple of x_i^h_ii
+                continue
             g = [0] * n
             g[i] = h[i][i] - h[i][j]
             g[j] = h[j][j] - h[i][j]

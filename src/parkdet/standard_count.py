@@ -11,11 +11,13 @@ exponent p of the normal form's first variable: the slice at p is the
 ideal, in the other variables, of the generators with g[0] <= p. It is
 constant between consecutive values of g[0], so each run of equal slices
 is counted once, and the slices are counted recursively down to closed
-forms: boxes of pure powers and two-variable staircases. Each slice comes
-from the previous one by dropping what the new generators divide, which
-keeps it minimally generated without a minimalization pass. A slice is
-kept sorted, so the multiples of a new generator lie in the suffix that
-starts where it would be inserted, and only that suffix is tested.
+forms: boxes of pure powers, boxes with one or two corners cut out (the
+generators that are not pure powers), and two-variable staircases. Each
+slice comes from the previous one by dropping what the new generators
+divide, which keeps it minimally generated without a minimalization
+pass. A slice is kept sorted, so the multiples of a new generator lie in
+the suffix that starts where it would be inserted, and only that suffix
+is tested.
 
 Two routes here are independent of the counter and check it: an
 inclusion-exclusion count over generator subsets, and the enumerator,
@@ -76,7 +78,9 @@ def count_standard(ideal: MonomialIdeal) -> int:
 def _slice_count(gens: tuple[Monomial, ...], memo: dict) -> int:
     """Standard monomials of the Artinian, non-unit ideal minimally
     generated by `gens`. With as many generators as variables, those are
-    the pure powers, and the standard monomials fill their box.
+    the pure powers, and the standard monomials fill their box; with one
+    or two more, `_corners` counts them in closed form, before any
+    normal form is built.
 
     `memo` maps a normal form under permuting the variables (columns
     sorted, then rows) to its count. The normal form is the same ideal
@@ -104,9 +108,12 @@ def _slice_count(gens: tuple[Monomial, ...], memo: dict) -> int:
     normal form's rows are sorted and share g[0], so re-sorting after
     appending them merges two sorted runs.
     """
-    if len(gens) == len(gens[0]):
+    n = len(gens[0])
+    if len(gens) == n:
         return prod(map(max, gens))
-    if len(gens[0]) == 2:
+    if len(gens) <= n + 2:
+        return _corners(gens, n)
+    if n == 2:
         return _staircase2(gens)
     key = tuple(sorted(zip(*sorted(zip(*gens)))))
     total = memo.get(key)
@@ -126,6 +133,30 @@ def _slice_count(gens: tuple[Monomial, ...], memo: dict) -> int:
                 kept = new
             lo = cut
         memo[key] = total
+    return total
+
+
+def _corners(gens: tuple[Monomial, ...], n: int) -> int:
+    """Standard monomials of a minimal Artinian ideal in n variables with
+    one or two generators that are not pure powers (its corners).
+
+    Artinian gives each variable a pure power, and minimality leaves
+    exactly one, since of two pure powers of x_i one divides the other. So
+    the corners are the generators with more than one nonzero exponent.
+    A corner g lies strictly inside the box b of the pure powers: g_i >= b_i
+    would make x_i^b_i divide g. So b is the largest exponent of each
+    variable, and the standard monomials are the box points divisible by
+    no corner. The box points divisible by g form the box from g to b, of
+    prod(b - g) points; those divisible by g and h form the box from
+    lcm(g, h) = max(g, h), which lies inside b too. So one corner leaves
+    prod(b) - prod(b - g), and two leave
+    prod(b) - prod(b - g) - prod(b - h) + prod(b - max(g, h)).
+    """
+    b = tuple(map(max, *gens))
+    g, *rest = [m for m in gens if m.count(0) < n - 1]
+    total = prod(b) - prod(map(sub, b, g))
+    for h in rest:
+        total += prod(map(sub, b, map(max, g, h))) - prod(map(sub, b, h))
     return total
 
 

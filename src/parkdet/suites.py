@@ -57,6 +57,7 @@ from .multigraph import (
 )
 from .rng import SplitMix64
 from .standard_count import (
+    IE_GENERATOR_GUARD,
     NonArtinianError,
     count_standard,
     count_standard_ie,
@@ -493,7 +494,7 @@ def suite_properties(seed: int = 0) -> Report:
         dim = count_standard(ideal)
         inst = {"label": f"oracle {label}", "check": "oracle-agreement", "nvars": ideal.nvars,
                 "generators": [list(g) for g in ideal.gens]}
-        if len(ideal.gens) <= 22:
+        if len(ideal.gens) <= IE_GENERATOR_GUARD:
             report.add({**inst, "oracle": "inclusion-exclusion"}, dim, count_standard_ie(ideal))
         if dim <= 100000:
             report.add({**inst, "oracle": "enumeration"}, dim, len(enumerate_standard(ideal)))

@@ -3,19 +3,24 @@
 Parking predicates, checked against `enumerate_standard` and
 `count_standard`: Dhar's burning algorithm for graphs and a sorted
 comparison for sequences, with the brute-force count of the latter over
-its box. The Steck polynomials are closed forms of `steck_count` on
-arithmetic progressions and flat sequences.
+its box. Skeleton ideals from every candidate subset or pair, checked
+against `skeleton_ideal` and `matrix_skeleton_ideal`, which leave out
+the subsets and pairs that cannot give a minimal generator. The Steck
+polynomials are closed forms of `steck_count` on arithmetic progressions
+and flat sequences.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from math import factorial
 from operator import lt
 from typing import Iterable
 
+from parkdet.exact_linalg import IntMatrix
 from parkdet.formulas import FormulaDomainError, _check_lambda
+from parkdet.monomial_ideals import MonomialIdeal
 from parkdet.multigraph import Multigraph
 
 
@@ -67,6 +72,26 @@ def is_g_parking(g: Multigraph, p: Iterable[int]) -> bool:
             for i in unburnt:
                 heat[i] += row[i]
     return True
+
+
+def skeleton_ideal_all_subsets(g: Multigraph, k: int) -> MonomialIdeal:
+    """m_A for every nonempty set A of at most k+1 non-root vertices,
+    x_i raised to the number of edges from i to vertices outside A."""
+    vertices = range(1, g.n + 1)
+    gens = [tuple(sum(g.adj[i][j] for j in range(g.n + 1) if j not in a) if i in a else 0
+                  for i in vertices)
+            for size in range(1, k + 2) for a in combinations(vertices, size)]
+    return MonomialIdeal(g.n, tuple(gens))
+
+
+def matrix_skeleton_ideal_all_pairs(h: IntMatrix) -> MonomialIdeal:
+    """Pure powers x_l^h_ll and x_i^(h_ii - h_ij) x_j^(h_jj - h_ij) for
+    every pair i < j, h_ij = 0 included."""
+    n = h.order
+    gens = [tuple(h[l][l] if m == l else 0 for m in range(n)) for l in range(n)]
+    gens += [tuple(h[i][i] - h[i][j] if m == i else h[j][j] - h[i][j] if m == j else 0 for m in range(n))
+             for i, j in combinations(range(n), 2)]
+    return MonomialIdeal(n, tuple(gens))
 
 
 def steck_poly_progression(n: int, b: int, x: int) -> Fraction:

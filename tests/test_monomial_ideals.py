@@ -28,6 +28,7 @@ from parkdet.multigraph import (
     laplacians,
     random_multigraph,
 )
+from oracles import matrix_skeleton_ideal_all_pairs, skeleton_ideal_all_subsets
 
 K3 = complete_multigraph(2, 1, 1)
 K4 = complete_multigraph(3, 1, 1)
@@ -39,11 +40,11 @@ def ideal(nvars, gens):
 
 
 def test_boundary_monomial_examples():
-    assert _boundary(K4, [1]) == (3, 0, 0)
-    assert _boundary(K4, [1, 2]) == (2, 2, 0)
+    assert _boundary(K4, [1], K4.degrees()) == (3, 0, 0)
+    assert _boundary(K4, [1, 2], K4.degrees()) == (2, 2, 0)
     # edges leaving {2,3} in K4 minus the 0-3 edge: two from 2, one from 3
     g31 = complete_minus_root_edges(3, 1)
-    assert _boundary(g31, [2, 3]) == (0, 2, 1)
+    assert _boundary(g31, [2, 3], g31.degrees()) == (0, 2, 1)
 
 
 def test_skeleton_ideal_examples():
@@ -65,10 +66,11 @@ def test_parking_ideal_is_top_skeleton():
 
 @st.composite
 def multigraphs(draw):
-    """Multigraphs with n <= 7 whose pairs are often absent, so that
-    disconnected graphs occur; some have every root edge removed."""
+    """Multigraphs with n <= 7 and multiplicities 0..3 whose pairs are
+    often absent, so that disconnected graphs occur; some have every root
+    edge removed."""
     n = draw(st.integers(min_value=1, max_value=7))
-    mult = st.sampled_from([0, 0, 0, 1, 2])
+    mult = st.sampled_from([0, 0, 0, 1, 2, 3])
     adj = [[0] * (n + 1) for _ in range(n + 1)]
     for i in range(n + 1):
         for j in range(i + 1, n + 1):
@@ -88,7 +90,7 @@ def test_boundary_monomial_counts_edges_leaving_the_subset(g):
                 for j in range(g.n + 1):
                     if j not in a:
                         want[i - 1] += g.adj[i][j]
-            assert _boundary(g, a) == tuple(want)
+            assert _boundary(g, a, g.degrees()) == tuple(want)
 
 
 @given(multigraphs())
@@ -97,6 +99,37 @@ def test_parking_ideal_from_connected_cuts_matches_candidates(g):
     assert ideal == skeleton_ideal(g, g.n - 1)
     if not any(g.adj[0]):
         assert ideal.is_unit
+
+
+@given(multigraphs())
+# G - root splits into {1, 2} and {3, 4}, joined through the root only
+@example(from_edges(4, [(0, 1, 3), (1, 2, 2), (0, 3, 1), (3, 4, 3), (0, 2, 1)]))
+# vertex 3 has no edge at all: m_{3} = 1
+@example(from_edges(3, [(0, 1, 2), (1, 2, 3), (0, 2, 1)]))
+def test_skeleton_ideals_match_all_subsets(g):
+    for k in range(g.n):
+        assert skeleton_ideal(g, k) == skeleton_ideal_all_subsets(g, k)
+        if 0 in g.degrees()[1:]:
+            assert skeleton_ideal(g, k).is_unit
+    qtilde = laplacians(g).qtilde
+    assert matrix_skeleton_ideal(qtilde) == matrix_skeleton_ideal_all_pairs(qtilde)
+
+
+@given(st.integers(min_value=1, max_value=6).flatmap(lambda n: st.tuples(
+    st.lists(st.integers(min_value=0, max_value=3), min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2),
+    st.lists(st.integers(min_value=0, max_value=3), min_size=n, max_size=n))))
+def test_matrix_skeleton_ideal_matches_all_pairs(data):
+    # a dominant matrix: each diagonal entry is its row's off-diagonal sum
+    # plus a slack of 0..3, so cross exponents of 0 occur
+    upper, slack = data
+    n = len(slack)
+    rows = [[0] * n for _ in range(n)]
+    for (i, j), e in zip(combinations(range(n), 2), upper):
+        rows[i][j] = rows[j][i] = e
+    for i in range(n):
+        rows[i][i] = sum(rows[i]) + slack[i]
+    h = matrix(rows)
+    assert matrix_skeleton_ideal(h) == matrix_skeleton_ideal_all_pairs(h)
 
 
 def test_parking_ideal_of_disconnected_graph_is_unit():

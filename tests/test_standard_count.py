@@ -2,7 +2,7 @@ from itertools import combinations, combinations_with_replacement, product
 from math import prod
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 import parkdet.standard_count as standard_count
@@ -156,6 +156,50 @@ def test_three_counting_routes_agree(i):
     assert walk == count_standard_ie(i)
     assert walk == brute_count(i.gens, i.nvars)
     assert walk == len(enumerate_standard(i))
+
+
+@st.composite
+def cornered_ideals(draw):
+    # minimal Artinian ideals with exactly one or two generators that are
+    # not pure powers (corners), whose supports may be disjoint or overlap;
+    # each corner exponent is often at box - 1, the largest a corner can have
+    n = draw(st.integers(min_value=2, max_value=6))
+    top = 5 if n <= 4 else 3
+    box = [draw(st.integers(min_value=2, max_value=top)) for _ in range(n)]
+    gens = [tuple(box[i] if j == i else 0 for j in range(n)) for i in range(n)]
+    corners = draw(st.integers(min_value=1, max_value=2))
+    for _ in range(corners):
+        support = draw(st.sets(st.integers(min_value=0, max_value=n - 1), min_size=2))
+        gens.append(tuple(draw(st.just(box[i] - 1) | st.integers(min_value=1, max_value=box[i] - 1))
+                          if i in support else 0 for i in range(n)))
+    i = MonomialIdeal(n, tuple(gens))
+    assume(len(i.gens) == n + corners)  # two corners, neither dividing the other
+    return i
+
+
+@given(cornered_ideals())
+@example(ideal(2, [(3, 0), (0, 3), (2, 1)]))
+@example(ideal(2, [(3, 0), (0, 3), (2, 1), (1, 2)]))
+@example(ideal(4, [(3, 0, 0, 0), (0, 3, 0, 0), (0, 0, 2, 0), (0, 0, 0, 4), (2, 2, 0, 0), (0, 0, 1, 3)]))
+@example(ideal(3, [(4, 0, 0), (0, 2, 0), (0, 0, 5), (3, 1, 0), (1, 1, 4)]))
+@example(ideal(6, [(3,) + (0,) * 5, (0, 3, 0, 0, 0, 0), (0, 0, 3, 0, 0, 0), (0, 0, 0, 3, 0, 0),
+                   (0, 0, 0, 0, 3, 0), (0,) * 5 + (3,), (2,) * 6]))
+def test_corner_leaves_match_the_oracles(i):
+    # the top of the count is a leaf: _corners counts it, before the
+    # two-variable staircase when there are two variables
+    corners = []
+
+    def spy(gens, n):
+        corners.append(len(gens) - n)
+        return original(gens, n)
+
+    original = standard_count._corners
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(standard_count, "_corners", spy)
+        count = count_standard(i)
+    assert corners == [len(i.gens) - i.nvars]
+    assert count == count_standard_ie(i)
+    assert count == len(enumerate_standard(i))
 
 
 @given(artinian_ideals())

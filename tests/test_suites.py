@@ -146,6 +146,26 @@ def test_properties_suite_sections():
     assert report.exit_code == 0
 
 
+def test_properties_suite_follows_the_inclusion_exclusion_guard(monkeypatch):
+    # lowering the guard drops the inclusion-exclusion trials above it
+    # instead of making the oracle raise inside the suite
+    import parkdet.standard_count
+    import parkdet.suites
+
+    def ie_instances(report):
+        return [t.instance for t in report.trials if t.instance.get("oracle") == "inclusion-exclusion"]
+
+    full = ie_instances(suite_properties())
+    sizes = sorted(len(inst["generators"]) for inst in full)
+    guard = sizes[len(sizes) // 2]
+    assert sizes[0] <= guard < sizes[-1]
+    monkeypatch.setattr(parkdet.standard_count, "IE_GENERATOR_GUARD", guard)
+    monkeypatch.setattr(parkdet.suites, "IE_GENERATOR_GUARD", guard)
+    lowered = suite_properties()
+    assert lowered.exit_code == 0
+    assert ie_instances(lowered) == [inst for inst in full if len(inst["generators"]) <= guard]
+
+
 def test_reports_deterministic():
     def strip(report):
         d = report.to_dict()
