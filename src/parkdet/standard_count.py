@@ -1,23 +1,23 @@
 """Counting and enumerating standard monomials of Artinian quotients.
 
 A monomial ideal is Artinian here when every variable carries a pure
-power generator. Permuting the variables keeps the quotient dimension,
-so the counter first brings the generators to a normal form under
-permuting the variables (columns sorted, then rows), memoizes counts
-within a call on that normal form, and counts the normal form itself
-(the divide-and-conquer step of the Hilbert-series algorithms of
-Bayer-Stillman and Bigatti). It splits the quotient into slices by the
-exponent p of the normal form's first variable: the slice at p is the
-ideal, in the other variables, of the generators with g[0] <= p. It is
-constant between consecutive values of g[0], so each run of equal slices
-is counted once, and the slices are counted recursively down to closed
-forms: boxes of pure powers, boxes with one or two corners cut out (the
-generators that are not pure powers), and two-variable staircases. Each
-slice comes from the previous one by dropping what the new generators
-divide, which keeps it minimally generated without a minimalization
-pass. A slice is kept sorted, so the multiples of a new generator lie in
-the suffix that starts where it would be inserted, and only that suffix
-is tested.
+power generator. The counter memoizes counts within a call, keyed by the
+sorted generators, which are the ideal itself, so the memo is sound, and
+it splits the quotient into slices by the exponent p of the first
+variable, as the generators give it (the divide-and-conquer step of the
+Hilbert-series algorithms of Bayer-Stillman and Bigatti): the slice at p
+is the ideal, in the other variables, of the generators with g[0] <= p.
+It is constant between consecutive values of g[0], so each run of equal
+slices is counted once; from x_1's pure power on, the slice is the unit
+ideal, and it is never built. The slices are counted recursively down to
+closed forms: boxes of pure powers, boxes with one or two corners cut
+out (the generators that are not pure powers), and two-variable
+staircases. Each slice comes from the previous one by dropping what the
+new generators divide, which keeps it minimally generated without a
+minimalization pass. A slice is kept sorted, so the multiples of a new
+generator lie in the suffix that starts where it would be inserted, and
+only that suffix is tested, on the new generator's nonzero exponents
+alone: a zero exponent needs no test.
 
 Two routes here are independent of the counter and check it: an
 inclusion-exclusion count over generator subsets, and the enumerator,
@@ -77,25 +77,28 @@ def count_standard(ideal: MonomialIdeal) -> int:
 
 def _slice_count(gens: tuple[Monomial, ...], memo: dict) -> int:
     """Standard monomials of the Artinian, non-unit ideal minimally
-    generated by `gens`. With as many generators as variables, those are
-    the pure powers, and the standard monomials fill their box; with one
-    or two more, `_corners` counts them in closed form, before any
-    normal form is built.
+    generated by `gens`, which come sorted lexicographically (as
+    `MonomialIdeal` keeps them, and as each slice below is kept). With as
+    many generators as variables, those are the pure powers, and the
+    standard monomials fill their box; with one or two more, `_corners`
+    counts them in closed form, before the memo is consulted.
 
-    `memo` maps a normal form under permuting the variables (columns
-    sorted, then rows) to its count. The normal form is the same ideal
-    with its variables renamed, so it is Artinian, minimally generated
-    and has the same count; it is what gets sliced. Its rows are sorted,
-    so they come grouped by their first exponent, and the sum runs over
-    the slices x_1 = p of the normal form's x_1.
+    `memo` maps the sorted generators to their count. They are the ideal
+    itself, in its own variable order, so two slices share an entry only
+    when they are the same ideal, and the memo is sound. The sum runs over
+    the slices x_1 = p of the ideal's own first variable.
 
     The slice at p is the ideal of the generators with g[0] <= p, with x_1
-    dropped; it only changes at the cuts, the distinct values of g[0], the
-    largest of which is x_1's pure power.
+    dropped; it only changes at the cuts, the distinct values of g[0]. The
+    sorted generators come grouped by g[0], and the last cut holds only
+    x_1's pure power: any other generator with g[0] at least its exponent
+    would be its multiple. From there on the slice is the unit ideal and
+    counts nothing, so the pass stops before the last cut and counts the
+    slice of the cut before it up to x_1's exponent.
 
-    The slices are built in one pass over the normal form grouped by g[0]:
+    The slices are built in one pass over the generators grouped by g[0]:
     at each cut, the kept projections that a new projection g[1:] divides
-    are dropped and the new ones appended. Because the normal form is minimal, this
+    are dropped and the new ones appended. Because `gens` is minimal, this
     leaves each slice minimally generated with no further check: two
     generators with equal g[0] project to incomparable monomials, and a
     projection h[1:] with h[0] < g[0] never divides g[1:], since h would
@@ -104,9 +107,13 @@ def _slice_count(gens: tuple[Monomial, ...], memo: dict) -> int:
     The kept projections stay sorted lexicographically. A multiple h of g
     is at least g in every exponent, so h >= g as tuples, and only the
     suffix from bisect_left(kept, g) can hold one; the prefix is left
-    untested. The new projections of a cut are sorted already, since the
-    normal form's rows are sorted and share g[0], so re-sorting after
-    appending them merges two sorted runs.
+    untested. A zero exponent of g needs no test, so h is tested on g's
+    support only, and first on its last variable: where h agrees with g's
+    zero prefix, h >= g as tuples already forces h to reach g's first
+    nonzero exponent, so that test would rarely rule h out. With one
+    nonzero exponent the test is that one comparison. The new projections
+    of a cut are sorted already, since `gens` is sorted and they share
+    g[0], so re-sorting after appending them merges two sorted runs.
     """
     n = len(gens[0])
     if len(gens) == n:
@@ -115,24 +122,32 @@ def _slice_count(gens: tuple[Monomial, ...], memo: dict) -> int:
         return _corners(gens, n)
     if n == 2:
         return _staircase2(gens)
-    key = tuple(sorted(zip(*sorted(zip(*gens)))))
-    total = memo.get(key)
+    total = memo.get(gens)
     if total is None:
         total = lo = 0
         kept: list[Monomial] = []
-        for cut, group in groupby(key, itemgetter(0)):
+        for cut, group in groupby(gens[:-1], itemgetter(0)):
             new = [g[1:] for g in group]
             if kept:  # the slice of the previous cut holds up to this one
                 total += (cut - lo) * _slice_count(tuple(kept), memo)
                 for g in new:
                     i = bisect_left(kept, g)
-                    kept[i:] = [h for h in kept[i:] if not all(map(le, g, h))]
+                    support = [j for j, e in enumerate(g) if e]
+                    j = support[-1]
+                    e = g[j]
+                    if len(support) == 1:
+                        kept[i:] = [h for h in kept[i:] if h[j] < e]
+                    else:
+                        on = itemgetter(*support)
+                        es = on(g)
+                        kept[i:] = [h for h in kept[i:] if h[j] < e or not all(map(le, es, on(h)))]
                 kept += new
                 kept.sort()  # two sorted runs, merged in linear time
             else:
                 kept = new
             lo = cut
-        memo[key] = total
+        total += (gens[-1][0] - lo) * _slice_count(tuple(kept), memo)
+        memo[gens] = total
     return total
 
 
