@@ -181,8 +181,11 @@ def _one_source(args, *dests: str) -> str:
     return given[0]
 
 
+_IDEAL_SOURCES = ("graph_file", "lambda_seq", "step", "matrix_file")
+
+
 def _resolve_ideal(args):
-    source = _one_source(args, "graph_file", "lambda_seq", "step", "matrix_file")
+    source = _one_source(args, *_IDEAL_SOURCES)
     if args.skeleton is not None and source != "graph_file":
         raise UsageError("--skeleton needs --graph-file")
     if source == "graph_file":
@@ -220,7 +223,14 @@ def _cmd_ideal(args) -> int:
 
 
 def _cmd_dim(args) -> int:
-    _write_out(str(count_standard(_resolve_ideal(args))) + "\n", args.out)
+    ideal = _resolve_ideal(args)
+    try:
+        count = count_standard(ideal)
+    except RecursionError as exc:  # the counter takes a frame per variable
+        source = _one_source(args, *_IDEAL_SOURCES)
+        name = getattr(args, source) if source.endswith("_file") else f"{_flag(source)} {getattr(args, source)}"
+        raise ValueError(f"{name}: {exc}") from None
+    _write_out(f"{count}\n", args.out)
     return 0
 
 
@@ -273,33 +283,22 @@ def _flag(param: str) -> str:
     return "--" + param.replace("_", "-")
 
 
-def _params(fn) -> tuple[str, ...]:
-    """The names of the parameters of `fn`, read from the code of the
-    function at the end of its `functools.wraps` chain: every suite is
-    wrapped by `suites._suite`, and a traced run wraps it again."""
-    while hasattr(fn, "__wrapped__"):
-        fn = fn.__wrapped__
-    code = fn.__code__
-    return code.co_varnames[:code.co_argcount + code.co_kwonlyargcount]
-
-
 def _suite_kwargs(names: list[str], args) -> list[dict]:
-    """Keyword arguments for each named suite: the verify flags its
-    signature takes. Every value is checked against the suite's minimums
+    """Keyword arguments for each named suite: the verify flags it takes,
+    the keys of its `suites.MINIMUMS`, each checked against its minimum
     before any suite runs; a single suite rejects a flag it does not take
     (--seed excepted: recurrence is exhaustive and ignores it)."""
-    signatures = {name: _params(fn) for name, fn in suites_mod.SUITES.items()}
-    given = {p: v for params in signatures.values() for p in params
+    minimums = suites_mod.MINIMUMS
+    given = {p: v for params in minimums.values() for p in params
              if (v := getattr(args, p, None)) is not None}
     out = []
     for name in names:
-        kwargs = {p: v for p, v in given.items() if p in signatures[name]}
+        kwargs = {p: v for p, v in given.items() if p in minimums[name]}
         stray = sorted(given.keys() - kwargs.keys() - {"seed"})
         if len(names) == 1 and stray:
             raise UsageError(f"suite {name} takes no {', '.join(map(_flag, stray))}")
         for p, v in kwargs.items():
-            low = suites_mod.MINIMUMS[name].get(p, v)
-            if v < low:
+            if v < (low := minimums[name][p]):
                 raise UsageError(f"suite {name} needs {_flag(p)} >= {low}, got {v}")
         out.append(kwargs)
     return out

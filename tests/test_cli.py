@@ -3,11 +3,7 @@ import functools
 import hashlib
 import inspect
 import json
-import os
 import re
-import subprocess
-import sys
-from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -17,7 +13,7 @@ from hypothesis import strategies as st
 import parkdet.cli as cli
 from parkdet.cli import _json_indented, build_parser, main, render_reports
 from parkdet.multigraph import complete_multigraph, format_graph, graph_to_json
-from parkdet.suites import SUITES
+from parkdet.suites import MINIMUMS, SUITES
 
 K4_TEXT = "3\n0 1 1\n0 2 1\n0 3 1\n1 2 1\n1 3 1\n2 3 1\n"
 
@@ -55,11 +51,18 @@ def test_det_qtilde(k4_file, capsys):
 
 def test_det_matrix_file(tmp_path, capsys):
     path = tmp_path / "m.json"
-    path.write_text('[["3","1","1"],["1","3","1"],["1","1","3"]]')
-    assert main(["det", "--matrix-file", str(path)]) == 0
-    assert capsys.readouterr().out.strip() == "20"
-    assert main(["dim", "--matrix-file", str(path)]) == 0
-    assert capsys.readouterr().out.strip() == "20"
+    for text, det, dim in [
+        ('[["3","1","1"],["1","3","1"],["1","1","3"]]', "20", "20"),
+        ('[["2","1"],["1","2"]]', "3", "3"),
+        # J_H with one corner, then with two: the counter's closed-form leaves
+        ("[[2,1,0],[1,2,0],[0,0,3]]", "9", "9"),
+        ("[[2,1,1],[1,2,0],[1,0,2]]", "4", "5"),
+    ]:
+        path.write_text(text)
+        assert main(["det", "--matrix-file", str(path)]) == 0
+        assert capsys.readouterr().out.strip() == det, text
+        assert main(["dim", "--matrix-file", str(path)]) == 0
+        assert capsys.readouterr().out.strip() == dim, text
 
 
 def test_ideal_dump(k4_file, capsys):
@@ -74,7 +77,7 @@ def test_ideal_dump(k4_file, capsys):
 def test_gen_round_trips(tmp_path, capsys):
     out = tmp_path / "g.txt"
     assert main(["gen", "--kind", "complete", "--n", "3", "--out", str(out)]) == 0
-    assert out.read_text() == format_graph(complete_multigraph(3, 1, 1))
+    assert out.read_text() == K4_TEXT == format_graph(complete_multigraph(3, 1, 1))
     assert main(["gen", "--kind", "random", "--n", "3", "--max-mult", "2", "--seed", "5"]) == 0
     first = capsys.readouterr().out
     assert main(["gen", "--kind", "random", "--n", "3", "--max-mult", "2", "--seed", "5"]) == 0
@@ -134,6 +137,8 @@ def test_formulas(capsys):
     assert "steck_count = 20" in out
     assert main(["formulas", "--identity", "4,0", "--format", "json"]) == 0
     assert json.loads(capsys.readouterr().out)["step_weight_identity_holds"] == "true"
+    assert main(["formulas", "--parking", "3,1,1", "--identity", "3,3", "--format", "json"]) == 0
+    assert capsys.readouterr().out == '{"parking_dim_complete": "16", "step_weight_identity_holds": "true"}\n'
 
 
 ALL_FORMULAS = ["--parking", "3,1,1", "--skel1", "3,1,1", "--qdet", "3,1", "--step-dim", "3,1,3",
@@ -166,15 +171,20 @@ def test_verify_rc(capsys):
     assert report["summary"]["failed"] == 0
 
 
-def test_verify_formats(tmp_path):
+def test_verify_formats(tmp_path, capsys):
     out = tmp_path / "report.csv"
     assert main(["verify", "recurrence", "--n", "3", "--a-max", "3",
                  "--format", "csv", "--out", str(out)]) == 0
     lines = out.read_text().splitlines()
     assert lines[0].startswith("suite,id,")
+    assert main(["verify", "rc", "--n", "3", "--trials", "5", "--format", "csv", "--out", str(out)]) == 0
+    assert out.read_text().splitlines()[0] == "suite,id,relation,pass,dim,det,formula,instance"
     out2 = tmp_path / "report.txt"
     assert main(["verify", "ineq", "--trials", "5", "--format", "text", "--out", str(out2)]) == 0
     assert "summary:" in out2.read_text()
+    # the 40 random trials and the P4 witness each print their slack dim - det
+    assert main(["verify", "ineq", "--n", "4", "--trials", "40", "--format", "text"]) == 0
+    assert sum("slack=" in line for line in capsys.readouterr().out.splitlines()) == 41
 
 
 def test_verify_report_replayable(tmp_path, capsys):
@@ -190,6 +200,32 @@ def test_verify_report_replayable(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == trial["dim"]
     assert main(["det", "--graph-file", str(graph), "--matrix", "qtilde"]) == 0
     assert capsys.readouterr().out.strip() == trial["det"]
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_root_deletion_dim_equals_det_through_the_entry_point(tmp_path, capsys, fmt):
+    path = str(tmp_path / "rd")
+    assert main(["gen", "--kind", "root-deletion", "--n", "5", "--a", "2", "--b", "3", "--seed", "7",
+                 "--format", fmt, "--out", path]) == 0
+    assert main(["det", "--graph-file", path]) == 0
+    assert capsys.readouterr().out == "172773\n"
+    assert main(["dim", "--graph-file", path, "--skeleton", "1"]) == 0
+    assert capsys.readouterr().out == "172773\n"
+
+
+@pytest.mark.parametrize("gen, matrix, formula, value", [
+    ("complete --n 40 --a 3 --b 2", "qtilde", "--skel1 40,3,2", None),
+    ("complete --n 40 --a 3 --b 2", "ltilde", "--parking 40,3,2", None),
+    ("complete-minus --n 6 --r 6", "qtilde", "--qdet 6,6", "10240"),
+], ids=["order-40-qtilde", "order-40-ltilde", "complete-minus-6-6"])
+def test_det_of_generated_graph_is_its_closed_form(tmp_path, capsys, gen, matrix, formula, value):
+    path = str(tmp_path / "g.txt")
+    assert main(["gen", "--kind", *gen.split(), "--out", path]) == 0
+    assert main(["det", "--graph-file", path, "--matrix", matrix]) == 0
+    det = capsys.readouterr().out
+    assert main(["formulas", *formula.split()]) == 0
+    assert capsys.readouterr().out.split(" = ")[1] == det
+    assert value is None or det == value + "\n"
 
 
 def test_exit_code_2_on_failure(monkeypatch, capsys):
@@ -400,30 +436,16 @@ def _verify_flags() -> set[str]:
 
 
 def test_suite_signatures_match_verify_flags():
+    # the CLI hands each suite the flags named by its MINIMUMS keys
     flags = _verify_flags()
     taken = set()
     for name, fn in SUITES.items():
-        params = set(inspect.signature(fn).parameters) - {"seed"}
+        params = set(inspect.signature(fn).parameters)
+        assert MINIMUMS[name].keys() == params, name
+        params -= {"seed"}
         assert params <= flags, name
         taken |= params
     assert taken == flags
-
-
-def test_suite_params_read_through_every_wrapper():
-    def traced(fn):
-        @functools.wraps(fn)
-        def run(*args, **kwargs):
-            return fn(*args, **kwargs)
-        return run
-
-    def plain(seed=0, *, trials=1):
-        return seed, trials
-
-    for name, fn in SUITES.items():
-        expected = tuple(inspect.signature(fn).parameters)
-        assert cli._params(fn) == expected, name
-        assert cli._params(traced(fn)) == expected, name
-    assert cli._params(plain) == ("seed", "trials")
 
 
 def test_rewrapped_suite_still_takes_its_flags(monkeypatch, capsys):
@@ -449,15 +471,30 @@ assert parkdet.cli.main(["verify", "rc", "--n", "2", "--trials", "1", "--format"
 """
 
 
-def test_cli_import_loads_no_unused_stdlib():
-    import parkdet
-
-    src = str(Path(parkdet.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    done = subprocess.run([sys.executable, "-c", IMPORT_HYGIENE], env=env, capture_output=True, text=True,
-                          timeout=60)
+def test_cli_import_loads_no_unused_stdlib(fresh_python):
+    done = fresh_python(IMPORT_HYGIENE)
     assert done.returncode == 0, done.stderr
     assert done.stdout.startswith("suite,id,relation,pass,dim,det,formula,instance")
+
+
+# J_H of a tridiagonal matrix, diagonal 3 and off-diagonal 1, of order 200:
+# the counter takes a frame per variable, so a recursion limit of 100 stops
+# it as a tridiagonal matrix of order 1100 stops it at the default limit.
+DEEP_COUNT = """
+import json, sys
+import parkdet.cli
+with open("chain.json", "w") as fh:
+    json.dump([[3 if i == j else int(abs(i - j) == 1) for j in range(200)] for i in range(200)], fh)
+sys.setrecursionlimit(100)
+sys.exit(parkdet.cli.main(["dim", "--matrix-file", "chain.json"]))
+"""
+
+
+def test_recursion_in_the_counter_exits_1_naming_the_input(fresh_python):
+    done = fresh_python(DEEP_COUNT)
+    assert done.returncode == 1, done.stderr
+    assert done.stdout == ""
+    assert done.stderr.startswith("error: chain.json: maximum recursion depth exceeded")
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -493,6 +530,8 @@ def test_verify_parameters_at_their_minimums(capsys):
     assert json.loads(capsys.readouterr().out)["summary"]["total"] == 3  # the grid n=2
     assert main(["verify", "ineq", "--trials", "0"]) == 0
     assert json.loads(capsys.readouterr().out)["summary"]["total"] == 1  # the P4 witness
+    assert main(["verify", "ineq", "--trials", "0", "--format", "text"]) == 0
+    assert re.fullmatch(r"summary: 1 trials, 0 failed, [0-9]+ ms", capsys.readouterr().out.splitlines()[-1])
     assert main(["verify", "recurrence", "--n", "1", "--a-max", "2"]) == 0
     assert json.loads(capsys.readouterr().out)["summary"]["total"] == 2
     # verify all gives each flag to the suites that take it
