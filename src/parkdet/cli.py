@@ -152,7 +152,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("verify", parents=[common], help="run a verification suite")
     p.add_argument("suite", choices=sorted(suites_mod.SUITES) + ["all"])
-    p.add_argument("--seed", type=_seed, default=0)
+    p.add_argument("--seed", type=_seed, default=None)
     p.add_argument("--n", "--n-max", dest="n_max", type=_int_flag, default=None)
     p.add_argument("--a-max", type=_int_flag, default=None)
     p.add_argument("--b-max", type=_int_flag, default=None)
@@ -286,15 +286,16 @@ def _flag(param: str) -> str:
 def _suite_kwargs(names: list[str], args) -> list[dict]:
     """Keyword arguments for each named suite: the verify flags it takes,
     the keys of its `suites.MINIMUMS`, each checked against its minimum
-    before any suite runs; a single suite rejects a flag it does not take
-    (--seed excepted: recurrence is exhaustive and ignores it)."""
+    before any suite runs; a single suite rejects a flag it does not take,
+    --seed included (recurrence is exhaustive and takes none). A flag left
+    out is not passed, so each suite runs with its own default."""
     minimums = suites_mod.MINIMUMS
     given = {p: v for params in minimums.values() for p in params
              if (v := getattr(args, p, None)) is not None}
     out = []
     for name in names:
         kwargs = {p: v for p, v in given.items() if p in minimums[name]}
-        stray = sorted(given.keys() - kwargs.keys() - {"seed"})
+        stray = sorted(given.keys() - kwargs.keys())
         if len(names) == 1 and stray:
             raise UsageError(f"suite {name} takes no {', '.join(map(_flag, stray))}")
         for p, v in kwargs.items():

@@ -513,6 +513,7 @@ def test_recursion_in_the_counter_exits_1_naming_the_input(fresh_python):
     (["matrix-tree", "--trials", "5"], "suite matrix-tree takes no --trials"),
     (["decomp", "--n", "3"], "suite decomp takes no --n-max"),
     (["all", "--a-max", "1"], "suite recurrence needs --a-max >= 2, got 1"),
+    (["recurrence", "--seed", "3"], "suite recurrence takes no --seed"),
 ])
 def test_verify_rejects_bad_suite_parameters(argv, message, capsys):
     assert main(["verify", *argv]) == 1

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from parkdet import monomial_ideals
 from parkdet.exact_linalg import matrix
 from parkdet.monomial_ideals import (
     MonomialIdeal,
@@ -102,6 +103,23 @@ def test_parking_ideal_from_connected_cuts_matches_candidates(g):
 
 
 @given(multigraphs())
+def test_connected_cuts_are_the_minimal_generators(g):
+    # Postnikov and Shapiro: the m_A of the connected cuts are exactly the
+    # minimal generators, so minimalization drops none of them (and a
+    # disconnected G passes the unit monomial alone)
+    passed = []
+
+    def spy(gens):
+        passed.append(len(gens))
+        return _minimalize(gens)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(monomial_ideals, "_minimalize", spy)
+        ideal = parking_ideal(g)
+    assert passed == [len(ideal.gens)]
+
+
+@given(multigraphs())
 # G - root splits into {1, 2} and {3, 4}, joined through the root only
 @example(from_edges(4, [(0, 1, 3), (1, 2, 2), (0, 3, 1), (3, 4, 3), (0, 2, 1)]))
 # vertex 3 has no edge at all: m_{3} = 1
@@ -150,12 +168,30 @@ def wheel(n):
     return from_edges(n, [(0, i, 1) for i in range(1, n + 1)] + rim)
 
 
+def fan(n):
+    """Apex 0 joined to every vertex of the path 1..n."""
+    return from_edges(n, [(0, i, 1) for i in range(1, n + 1)] + [(i, i + 1, 1) for i in range(1, n)])
+
+
+def ladder(n):
+    """Two paths 0..k-1 and k..2k-1 with rungs i-(k+i); n + 1 = 2k."""
+    k = (n + 1) // 2
+    rails = [(i, i + 1, 1) for i in range(k - 1)] + [(k + i, k + i + 1, 1) for i in range(k - 1)]
+    return from_edges(n, rails + [(i, k + i, 1) for i in range(k)])
+
+
 @pytest.mark.parametrize("n", [4, 11, 13, 19])
 def test_parking_ideal_generator_counts(n):
-    # a connected cut of the cycle is an arc of the path 1..n; of the
-    # wheel (root as hub), an arc of the rim or the whole rim
+    # the cycle, the fan (root as apex) and the ladder have all n + 1
+    # vertices on one cycle, with chords that do not cross, so a connected
+    # cut is an arc of that cycle missing the root: one for each pair of
+    # its n + 1 edges. Of the wheel (root as hub), a connected cut is an
+    # arc of the rim or the whole rim
     assert len(parking_ideal(cycle(n)).gens) == n * (n + 1) // 2
+    assert len(parking_ideal(fan(n)).gens) == n * (n + 1) // 2
     assert len(parking_ideal(wheel(n)).gens) == n * (n - 1) + 1
+    if n % 2:  # 66 at n = 11 and 91 at n = 13, the benchmark's ladders
+        assert len(parking_ideal(ladder(n)).gens) == n * (n + 1) // 2
 
 
 def star(n, centre):
@@ -170,6 +206,10 @@ CUT_SHAPES = {
     "star-rooted-at-leaf": star(5, 1),
     "path-rooted-at-end": from_edges(5, [(i, i + 1, 1) for i in range(5)]),
     "edge-of-multiplicity-3": from_edges(4, [(0, 1, 1), (1, 2, 3), (2, 3, 1), (0, 3, 2), (3, 4, 1), (2, 4, 1)]),
+    # most connected sets have a disconnected complement (878 of the 969
+    # at n = 13, against 91 cuts), so most branches are pruned
+    "ladder-11": ladder(11),
+    "ladder-13": ladder(13),
 }
 
 
