@@ -14,25 +14,24 @@ diagonal. The two-level step-weight family of the colon recurrence is
 J_H of a weight matrix, built by `matrix_skeleton_ideal` too.
 
 The boundary monomial m_A raises x_i, for i in A, to the number of
-edges from i to V - A. `parking_ideal` and `skeleton_ideal` compute it
-by two separate routes, on purpose. `parking_ideal` grows the connected
-sets of non-root vertices instead of scanning all 2^n subsets, and
-carries m_A along as A grows, so it never recomputes one from scratch.
-It keeps m_A for the connected cuts only, where V - A is connected too.
-`skeleton_ideal` scans every candidate subset with `combinations`,
-keeps those that induce a connected subgraph of G - root, since any
-other m_A is the product of its components' monomials, and computes
-each m_A afresh in `_boundary`. It neither grows connected sets nor asks
-that V - A be connected, and shares no m_A arithmetic with
-`parking_ideal`, so `skeleton_ideal(g, g.n - 1)` is an independent
-route to the parking ideal. `matrix_skeleton_ideal` leaves out the
-pairs with h_ij = 0, whose monomials are multiples of pure powers.
+edges from i to V - A. `parking_ideal` and `skeleton_ideal` both grow
+the connected sets of non-root vertices in `_grow` instead of scanning
+all 2^n subsets, and carry m_A along as A grows, so neither recomputes
+one from scratch. `skeleton_ideal` keeps m_A for every set of size at
+most k + 1, `parking_ideal` for the connected cuts only, where V - A is
+connected too. The independent routes to these ideals are in the tests:
+the all-subsets oracle computes every m_A afresh, the `matrix-tree`
+suite checks dim R/M_G = det of the truncated Laplacian (Postnikov and
+Shapiro), and for k = 1 `matrix_skeleton_ideal(qtilde)` builds the
+1-skeleton ideal from the truncated signless Laplacian.
+`matrix_skeleton_ideal` leaves out the pairs with h_ij = 0, whose
+monomials are multiples of pure powers.
 """
 
 from __future__ import annotations
 
 import json
-from itertools import chain, combinations, compress
+from itertools import chain, combinations
 from operator import le, mul
 from typing import Iterable, Sequence
 
@@ -116,21 +115,53 @@ class MonomialIdeal(_Frozen):
         return any(divides(g, m) for g in self.gens)
 
 
-def _boundary(g: Multigraph, members: Sequence[int], deg: Sequence[int]) -> Monomial:
-    """m_A for the distinct non-root vertices `members` of A, given the
-    degree `deg[i]` of each vertex i: edges from i to V - A are its degree
-    minus its edges inside A, where the sum over A may include i itself,
-    since `Multigraph` validates a zero diagonal."""
-    adj, m = g.adj, [0] * g.n
-    for i in members:
-        m[i - 1] = deg[i] - sum(map(adj[i].__getitem__, members))
-    return tuple(m)
+def _start(g: Multigraph) -> tuple[list[int], tuple[int, ...], list[tuple]]:
+    """Neighbour masks, degrees and the singleton entries that `_grow`
+    starts from; bit v of a mask stands for vertex v, bit 0 for the root."""
+    n, adj = g.n, g.adj
+    nbr = [sum(1 << j for j in range(n + 1) if adj[v][j]) for v in range(n + 1)]
+    deg = g.degrees()
+    stack = [(1 << v, nbr[v] & ~low, nbr[v] | low, (0,) * (v - 1) + (deg[v],) + (0,) * (n - v))
+             for v in range(1, n + 1) for low in [(2 << v) - 1]]
+    return nbr, deg, stack
+
+
+def _grow(stack: list[tuple], entry: tuple, adj: Sequence[Sequence[int]], nbr: Sequence[int],
+          deg: Sequence[int]) -> None:
+    """Push the children of a stack entry (A, frontier, excluded, m_A) of
+    a connected set A of G - root; the excluded mask holds the root, A,
+    the frontier and every vertex already decided against.
+
+    A set whose least vertex is v starts as {v} with every vertex below v
+    excluded, and each frontier vertex w is either added, with its
+    neighbours joining the frontier, or excluded from the sets grown
+    after it. So every connected A is reached at most once, and exactly
+    once when no branch is cut off. m_A rides along: when w joins A, its
+    exponent is deg(w) minus its edges into A, and each neighbour u of w
+    in A loses its edges to w.
+    """
+    a, frontier, excluded, m = entry
+    while frontier:
+        w = frontier & -frontier
+        frontier ^= w
+        j = w.bit_length() - 1
+        grown, row, child = nbr[j], adj[j], list(m)
+        inside, both = 0, a & grown
+        while both:
+            u = both & -both
+            both ^= u
+            i = u.bit_length() - 1
+            child[i - 1] -= row[i]
+            inside += row[i]
+        child[j - 1] = deg[j] - inside
+        stack.append((a | w, frontier | grown & ~excluded, excluded | grown, tuple(child)))
 
 
 def skeleton_ideal(g: Multigraph, k: int) -> MonomialIdeal:
     """Generated by the boundary monomials of all nonempty subsets of size
     at most k+1; built from the subsets that induce a connected subgraph
-    of G - root only.
+    of G - root only. `_grow` reaches each of them once, from smaller
+    sets only, so it stops growing at size k+1.
 
     If G|A splits into A1 and A2 with no edge between them, a vertex of
     A1 has the same edges inside A as inside A1, so m_A = m_A1 * m_A2, and
@@ -140,29 +171,14 @@ def skeleton_ideal(g: Multigraph, k: int) -> MonomialIdeal:
     """
     if not 0 <= k <= g.n - 1:
         raise ValueError(f"k must lie in [0, {g.n - 1}], got {k}")
-    n, adj = g.n, g.adj
-    deg = [sum(row) for row in adj]
-    # bit v stands for non-root vertex v; the root has none
-    bit = [0] + [1 << v for v in range(1, n + 1)]
-    nbr = [sum(compress(bit, row)) for row in adj]
-
-    def connected(a: tuple[int, ...]) -> bool:
-        # a search from a[0], one layer at a time, until no member is left
-        unreached = sum(map(bit.__getitem__, a)) ^ bit[a[0]]
-        layer = nbr[a[0]] & unreached
-        while layer:
-            unreached ^= layer
-            grown = 0
-            while layer:
-                v = layer & -layer
-                layer ^= v
-                grown |= nbr[v.bit_length() - 1]
-            layer = grown & unreached
-        return not unreached
-
-    gens = [_boundary(g, a, deg) for size in range(1, k + 2)
-            for a in combinations(range(1, n + 1), size) if connected(a)]
-    return MonomialIdeal(n, tuple(gens))
+    nbr, deg, stack = _start(g)
+    gens = []
+    while stack:
+        entry = stack.pop()
+        gens.append(entry[3])
+        if entry[0].bit_count() <= k:
+            _grow(stack, entry, g.adj, nbr, deg)
+    return MonomialIdeal(g.n, tuple(gens))
 
 
 def parking_ideal(g: Multigraph) -> MonomialIdeal:
@@ -180,18 +196,11 @@ def parking_ideal(g: Multigraph) -> MonomialIdeal:
     minimal generators (Postnikov and Shapiro, Trans. AMS 356, 2004);
     the constructor minimalizes them all the same.
 
-    The connected sets A of G - root are grown from a frontier: a set
-    whose least vertex is v starts as {v} with every vertex below v
-    excluded, and each frontier vertex w is either added, with its
-    neighbours joining the frontier, or excluded from the sets grown
-    after it. So every connected A is reached at most once. m_A rides
-    along: when w joins A, its exponent is deg(w) minus its edges into
-    A, and each neighbour u of w in A loses its edges to w.
-
-    Each set visited costs one breadth-first search of V - A from the
-    root, by layers, which stops once it has reached every vertex (after
-    one layer on a wheel or a fan). The same search prunes: the vertices
-    a branch never adds to A (the root, the vertices below v and those
+    The connected sets A of G - root are grown by `_grow`. Each set
+    visited costs one breadth-first search of V - A from the root, by
+    layers, which stops once it has reached every vertex (after one
+    layer on a wheel or a fan). The same search prunes: the vertices a
+    branch never adds to A (the root, the vertices below v and those
     decided against) lie in the complement of every set grown from A,
     and that complement lies inside V - A. If the search misses one of
     them, no such complement is connected, and the whole branch is
@@ -199,8 +208,7 @@ def parking_ideal(g: Multigraph) -> MonomialIdeal:
     at n = 13 visits 266 of its 969 connected sets for its 91 cuts.
     """
     n, adj = g.n, g.adj
-    # bit v stands for vertex v; bit 0 is the root
-    nbr = [sum(1 << j for j in range(n + 1) if adj[v][j]) for v in range(n + 1)]
+    nbr, deg, stack = _start(g)
     full = (1 << (n + 1)) - 1
 
     def reach(mask: int) -> int:
@@ -219,34 +227,17 @@ def parking_ideal(g: Multigraph) -> MonomialIdeal:
 
     if reach(full) != full:
         return MonomialIdeal(n, ((0,) * n,))
-    deg = [sum(row) for row in adj]
     gens = []
-    # (A, frontier, excluded, m_A): the excluded mask holds the root, A,
-    # the frontier and every vertex already decided against
-    stack = [(1 << v, nbr[v] & ~low, nbr[v] | low, (0,) * (v - 1) + (deg[v],) + (0,) * (n - v))
-             for v in range(1, n + 1) for low in [(2 << v) - 1]]
     while stack:
-        a, frontier, excluded, m = stack.pop()
+        entry = stack.pop()
+        a, frontier, excluded, m = entry
         rest = full ^ a
         reached = reach(rest)
         if reached == rest:
             gens.append(m)
         elif excluded & ~frontier & rest & ~reached:
             continue  # a vertex no superset of A takes stays cut off from the root
-        while frontier:
-            w = frontier & -frontier
-            frontier ^= w
-            j = w.bit_length() - 1
-            grown, row, child = nbr[j], adj[j], list(m)
-            inside, both = 0, a & grown
-            while both:
-                u = both & -both
-                both ^= u
-                i = u.bit_length() - 1
-                child[i - 1] -= row[i]
-                inside += row[i]
-            child[j - 1] = deg[j] - inside
-            stack.append((a | w, frontier | grown & ~excluded, excluded | grown, tuple(child)))
+        _grow(stack, entry, adj, nbr, deg)
     return MonomialIdeal(n, tuple(gens))
 
 

@@ -3,9 +3,11 @@
 Parking predicates, checked against `enumerate_standard` and
 `count_standard`: Dhar's burning algorithm for graphs and a sorted
 comparison for sequences, with the brute-force count of the latter over
-its box. Skeleton ideals from every candidate subset or pair, checked
-against `skeleton_ideal` and `matrix_skeleton_ideal`, which leave out
-the subsets and pairs that cannot give a minimal generator. The Steck
+its box. Skeleton ideals from every candidate subset or pair, with each
+m_A computed afresh, checked against `skeleton_ideal`, `parking_ideal`
+and `matrix_skeleton_ideal`, which leave out the subsets and pairs that
+cannot give a minimal generator; the m_A of every connected subset,
+checked against the list `skeleton_ideal` grows. The Steck
 polynomials are closed forms of `steck_count` on arithmetic progressions
 and flat sequences.
 """
@@ -74,14 +76,35 @@ def is_g_parking(g: Multigraph, p: Iterable[int]) -> bool:
     return True
 
 
+def boundary_monomial(g: Multigraph, a: tuple[int, ...]) -> tuple[int, ...]:
+    """m_A: x_i, for i in A, raised to the number of edges from i to
+    vertices outside A."""
+    return tuple(sum(g.adj[i][j] for j in range(g.n + 1) if j not in a) if i in a else 0
+                 for i in range(1, g.n + 1))
+
+
 def skeleton_ideal_all_subsets(g: Multigraph, k: int) -> MonomialIdeal:
-    """m_A for every nonempty set A of at most k+1 non-root vertices,
-    x_i raised to the number of edges from i to vertices outside A."""
+    """m_A for every nonempty set A of at most k+1 non-root vertices."""
     vertices = range(1, g.n + 1)
-    gens = [tuple(sum(g.adj[i][j] for j in range(g.n + 1) if j not in a) if i in a else 0
-                  for i in vertices)
-            for size in range(1, k + 2) for a in combinations(vertices, size)]
+    gens = [boundary_monomial(g, a) for size in range(1, k + 2) for a in combinations(vertices, size)]
     return MonomialIdeal(g.n, tuple(gens))
+
+
+def connected_boundary_monomials(g: Multigraph, k: int) -> list[tuple[int, ...]]:
+    """m_A, sorted, for every set A of at most k+1 non-root vertices that
+    induces a connected subgraph of G - root, one entry per set."""
+    def connected(a: tuple[int, ...]) -> bool:
+        seen, todo = {a[0]}, [a[0]]
+        while todo:
+            i = todo.pop()
+            for j in a:
+                if j not in seen and g.adj[i][j]:
+                    seen.add(j)
+                    todo.append(j)
+        return len(seen) == len(a)
+
+    return sorted(boundary_monomial(g, a) for size in range(1, k + 2)
+                  for a in combinations(range(1, g.n + 1), size) if connected(a))
 
 
 def matrix_skeleton_ideal_all_pairs(h: IntMatrix) -> MonomialIdeal:

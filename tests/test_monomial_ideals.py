@@ -9,7 +9,6 @@ from parkdet import monomial_ideals
 from parkdet.exact_linalg import matrix
 from parkdet.monomial_ideals import (
     MonomialIdeal,
-    _boundary,
     _minimalize,
     colon,
     divides,
@@ -29,7 +28,7 @@ from parkdet.multigraph import (
     laplacians,
     random_multigraph,
 )
-from oracles import matrix_skeleton_ideal_all_pairs, skeleton_ideal_all_subsets
+from oracles import connected_boundary_monomials, matrix_skeleton_ideal_all_pairs, skeleton_ideal_all_subsets
 
 K3 = complete_multigraph(2, 1, 1)
 K4 = complete_multigraph(3, 1, 1)
@@ -40,12 +39,32 @@ def ideal(nvars, gens):
     return MonomialIdeal(nvars, tuple(tuple(g) for g in gens))
 
 
-def test_boundary_monomial_examples():
-    assert _boundary(K4, [1], K4.degrees()) == (3, 0, 0)
-    assert _boundary(K4, [1, 2], K4.degrees()) == (2, 2, 0)
+def handed_over(build, *args):
+    """The generators that build(*args) hands to minimalization, sorted."""
+    passed = []
+
+    def spy(gens):
+        passed.extend(gens)
+        return _minimalize(gens)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(monomial_ideals, "_minimalize", spy)
+        build(*args)
+    return sorted(passed)
+
+
+def test_skeleton_ideal_boundary_examples():
+    # m_A of every connected set, one each: {1} -> (3, 0, 0) in K4
+    assert handed_over(skeleton_ideal, K4, 0) == [(0, 0, 3), (0, 3, 0), (3, 0, 0)]
+    # {1, 2} -> (2, 2, 0) in K4
+    assert handed_over(skeleton_ideal, K4, 1) == [(0, 0, 3), (0, 2, 2), (0, 3, 0), (2, 0, 2), (2, 2, 0), (3, 0, 0)]
     # edges leaving {2,3} in K4 minus the 0-3 edge: two from 2, one from 3
     g31 = complete_minus_root_edges(3, 1)
-    assert _boundary(g31, [2, 3], g31.degrees()) == (0, 2, 1)
+    assert handed_over(skeleton_ideal, g31, 1) == [(0, 0, 2), (0, 2, 1), (0, 3, 0), (2, 0, 1), (2, 2, 0), (3, 0, 0)]
+    # the ladder at n = 13 has the 969 connected sets that parking_ideal's
+    # docstring counts
+    handed = handed_over(skeleton_ideal, ladder(13), 12)
+    assert len(handed) == 969 and handed == connected_boundary_monomials(ladder(13), 12)
 
 
 def test_skeleton_ideal_examples():
@@ -63,6 +82,7 @@ def test_skeleton_ideal_examples():
 def test_parking_ideal_is_top_skeleton():
     g = random_multigraph(4, 2, seed=2)
     assert parking_ideal(g) == skeleton_ideal(g, g.n - 1)
+    assert parking_ideal(g) == skeleton_ideal_all_subsets(g, g.n - 1)
 
 
 @st.composite
@@ -83,21 +103,19 @@ def multigraphs(draw):
 
 
 @given(multigraphs())
-def test_boundary_monomial_counts_edges_leaving_the_subset(g):
-    for size in range(1, g.n + 1):
-        for a in combinations(range(1, g.n + 1), size):
-            want = [0] * g.n
-            for i in a:
-                for j in range(g.n + 1):
-                    if j not in a:
-                        want[i - 1] += g.adj[i][j]
-            assert _boundary(g, a, g.degrees()) == tuple(want)
+def test_skeleton_ideal_hands_over_each_connected_set_once(g):
+    # the growth reaches every connected set of G - root of size <= k + 1
+    # exactly once and carries its m_A along: the list handed over is the
+    # oracle's m_A, each computed afresh, with nothing missing or repeated
+    for k in range(g.n):
+        assert handed_over(skeleton_ideal, g, k) == connected_boundary_monomials(g, k)
 
 
 @given(multigraphs())
 def test_parking_ideal_from_connected_cuts_matches_candidates(g):
     ideal = parking_ideal(g)
     assert ideal == skeleton_ideal(g, g.n - 1)
+    assert ideal == skeleton_ideal_all_subsets(g, g.n - 1)
     if not any(g.adj[0]):
         assert ideal.is_unit
 
@@ -107,16 +125,7 @@ def test_connected_cuts_are_the_minimal_generators(g):
     # Postnikov and Shapiro: the m_A of the connected cuts are exactly the
     # minimal generators, so minimalization drops none of them (and a
     # disconnected G passes the unit monomial alone)
-    passed = []
-
-    def spy(gens):
-        passed.append(len(gens))
-        return _minimalize(gens)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(monomial_ideals, "_minimalize", spy)
-        ideal = parking_ideal(g)
-    assert passed == [len(ideal.gens)]
+    assert handed_over(parking_ideal, g) == list(parking_ideal(g).gens)
 
 
 @given(multigraphs())
@@ -217,6 +226,7 @@ CUT_SHAPES = {
 def test_parking_ideal_cut_shapes(shape):
     g = CUT_SHAPES[shape]
     assert parking_ideal(g) == skeleton_ideal(g, g.n - 1)
+    assert parking_ideal(g) == skeleton_ideal_all_subsets(g, g.n - 1)
 
 
 def test_divides():
