@@ -3,11 +3,13 @@
 Everything here is certified arithmetic: determinants come from
 fraction-free (Bareiss) elimination over Python ints, the characteristic
 polynomial from the Faddeev-LeVerrier recurrence (all divisions exact),
-and positive semidefiniteness is decided by fraction-free elimination on
-positive diagonal pivots rather than from floating-point eigenvalues. No
+and positive semidefiniteness is certified by row-sum diagonal dominance
+(Gershgorin) where every row has it, as on every truncated (signless)
+Laplacian, and decided otherwise by fraction-free elimination on
+positive diagonal pivots, never from floating-point eigenvalues. No
 floats appear anywhere.
 
-On a symmetric matrix, `det` and `psd_det` (which `is_psd` reads) run
+On a symmetric matrix, `det` and `psd_det` (which `is_psd` falls back on) run
 the same in-place step, `_pivot_step`: a symmetric swap brings a
 diagonal pivot to (k, k), and every later row is updated in its upper
 triangle only, then mirrored.
@@ -299,14 +301,31 @@ def psd_det(m: IntMatrix) -> int | None:
 
 
 def is_psd(m: IntMatrix) -> bool:
-    """Exact positive-semidefiniteness test for symmetric integer matrices:
-    `psd_det` finds a determinant."""
+    """Exact positive-semidefiniteness test for symmetric integer matrices.
+
+    First an O(n^2) certificate, row-sum diagonal dominance (Gershgorin;
+    not the max-dominant class of `has_dominant_diagonal`): if every row
+    has 2 a_ii >= sum_j |a_ij|, that is a_ii >= sum_{j != i} |a_ij| (which
+    forces a_ii >= 0), then m is PSD, since 2|x_i x_j| <= x_i^2 + x_j^2
+    and |a_ij| = |a_ji| give
+    x^T A x >= sum_i a_ii x_i^2 - sum_{i != j} |a_ij| |x_i x_j|
+            >= sum_i (a_ii - sum_{j != i} |a_ij|) x_i^2 >= 0.
+    Every truncated (signless) Laplacian passes it: its root edges make
+    up the slack. Otherwise `psd_det` decides: m is PSD iff it finds a
+    determinant. `psd_det` cannot take this shortcut, as it must still
+    return the determinant.
+    """
+    if not m.is_symmetric():
+        raise ValueError("the PSD test requires a symmetric matrix")
+    if all(2 * row[i] >= sum(map(abs, row)) for i, row in enumerate(m.rows)):
+        return True
     return psd_det(m) is not None
 
 
 def has_dominant_diagonal(m: IntMatrix) -> bool:
     """True iff m is symmetric with nonnegative entries and every diagonal
-    entry is at least every off-diagonal entry of its row."""
+    entry is at least every off-diagonal entry of its row: the paper's
+    max-dominant class of J_H, not the row-sum dominance `is_psd` tests."""
     if not m.is_symmetric():
         return False
     for i, row in enumerate(m.rows):  # max(row) takes row[i] too, which never exceeds itself
@@ -325,9 +344,13 @@ def principal_submatrix(m: IntMatrix, keep: Sequence[int]) -> IntMatrix:
     if not keep:
         raise ValueError("empty index selection")
     n = m.order
+    seen = set()
     for i in keep:
         if not 0 <= i < n:
             raise ValueError(f"index {i} out of range for order {n}")
+        if i in seen:
+            raise ValueError(f"index {i} repeated")
+        seen.add(i)
     return IntMatrix(tuple(tuple(m[i][j] for j in keep) for i in keep))
 
 

@@ -54,9 +54,16 @@ class Multigraph(_Frozen):
 
 
 def from_edges(n: int, edges: Iterable[tuple[int, int, int]]) -> Multigraph:
-    """Multigraph from (i, j, multiplicity) triples; unlisted pairs are 0."""
+    """Multigraph from (i, j, multiplicity) triples; unlisted pairs are 0,
+    and the multiplicities of a pair listed more than once add up. Each
+    entry of a triple must be an int (a bool is not), and its
+    multiplicity must be >= 0."""
     adj = [[0] * (n + 1) for _ in range(n + 1)]
     for i, j, m in edges:
+        if type(i) is not int or type(j) is not int or type(m) is not int:
+            raise ValueError(f"edge {(i, j, m)!r}: vertices and multiplicity must be ints")
+        if m < 0:
+            raise ValueError(f"edge {(i, j, m)!r}: negative multiplicity")
         if i == j:
             raise ValueError(f"loop edge ({i},{j})")
         if not (0 <= i <= n and 0 <= j <= n):

@@ -25,7 +25,7 @@ from parkdet.exact_linalg import (
 )
 from parkdet.formulas import skeleton1_dim_complete
 from parkdet.monomial_ideals import MonomialIdeal
-from parkdet.multigraph import Multigraph, complete_multigraph, laplacians
+from parkdet.multigraph import Multigraph, complete_multigraph, laplacians, random_multigraph
 from parkdet.suites import Trial
 
 QT_K4 = matrix([[3, 1, 1], [1, 3, 1], [1, 1, 3]])
@@ -196,6 +196,14 @@ def symmetric_matrices(draw, kind):
         b = draw(int_rows(draw(st.integers(min_value=0, max_value=n - 1)), n, 3))
         return matrix([[sum(row[i] * row[j] for row in b) for j in range(n)] for i in range(n)])
     a = draw(int_rows(n, n, 4))
+    if kind == "weakly-dominant":
+        # mixed-sign off-diagonals, each diagonal entry its row's
+        # off-diagonal absolute sum plus 0 or 1: PSD by Gershgorin, and
+        # singular when the rows that get 0 make it so
+        s = [[a[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+        for i, row in enumerate(s):
+            row[i] = sum(abs(x) for j, x in enumerate(row) if j != i) + draw(st.integers(0, 1))
+        return matrix(s)
     s = [[a[i][j] + a[j][i] for j in range(n)] for i in range(n)]
     if kind == "zero-diagonal":
         # s_ii = 0 with s_ij != 0: the principal minor on {i, j} is negative
@@ -206,25 +214,40 @@ def symmetric_matrices(draw, kind):
     return matrix(s)
 
 
-@pytest.mark.parametrize("kind", ["deficient-gram", "symmetrized", "zero-diagonal"])
+@pytest.mark.parametrize("kind", ["deficient-gram", "symmetrized", "zero-diagonal", "weakly-dominant"])
 @given(data=st.data())
 def test_is_psd_matches_char_poly_oracle(kind, data):
     m = data.draw(symmetric_matrices(kind))
     assert is_psd(m) == psd_by_char_poly(m)
-    if kind == "deficient-gram":
+    if kind in ("deficient-gram", "weakly-dominant"):
         assert is_psd(m)
     if kind == "zero-diagonal":
         assert not is_psd(m)
 
 
-def test_is_psd_at_order_40():
-    qt = laplacians(complete_multigraph(40, 3, 2)).qtilde
-    assert qt.order == 40 and is_psd(qt)
+def spy_on_psd_det(monkeypatch):
+    """The matrices `is_psd` hands to `psd_det` from now on."""
+    calls = []
+
+    def spy(m):
+        calls.append(m)
+        return psd_det(m)
+
+    monkeypatch.setattr(exact_linalg, "psd_det", spy)
+    return calls
+
+
+def test_is_psd_at_order_40(monkeypatch):
+    calls = spy_on_psd_det(monkeypatch)
+    lap = laplacians(complete_multigraph(40, 3, 2))
+    assert lap.qtilde.order == 40 and is_psd(lap.qtilde) and is_psd(lap.ltilde)
+    assert calls == []  # certified by diagonal dominance, nothing eliminated
     # as in the psd-certify benchmark: m_ij = m_ji = m_ii + m_jj + 1 makes
     # the principal minor on {i, j} negative
-    rows = [list(row) for row in qt.rows]
+    rows = [list(row) for row in lap.qtilde.rows]
     rows[5][31] = rows[31][5] = rows[5][5] + rows[31][31] + 1
     assert not is_psd(matrix(rows))
+    assert calls == [matrix(rows)]
 
 
 def test_is_psd_edge_cases():
@@ -242,15 +265,25 @@ def test_is_psd_does_not_call_char_poly(monkeypatch):
 
     monkeypatch.setattr(exact_linalg, "char_poly", refuse)
     monkeypatch.setattr(exact_linalg, "det_cofactor", refuse)
-    assert is_psd(QT_K4)
-    assert not is_psd(matrix([[1, 2], [2, 1]]))
+    calls = spy_on_psd_det(monkeypatch)
+    # both branches: truncated Laplacians are diagonally dominant, so
+    # is_psd certifies them without eliminating ...
+    assert is_psd(QT_K4) and is_psd(LT_K4)
     assert is_psd(matrix([[1, 1, 0], [1, 1, 0], [0, 0, 0]]))
+    for seed in range(30):
+        lap = laplacians(random_multigraph(1 + seed % 7, 3, seed))
+        assert is_psd(lap.ltilde) and is_psd(lap.qtilde)
+    assert calls == []
+    # ... and elimination decides the rest, PSD or not
+    assert is_psd(matrix([[1, 2], [2, 4]]))
+    assert not is_psd(matrix([[1, 2], [2, 1]]))
+    assert calls == [matrix([[1, 2], [2, 4]]), matrix([[1, 2], [2, 1]])]
     assert det(QT_K4) == 20
     assert det(matrix([[0, 1], [1, 0]])) == -1
     assert det(matrix([[1, 2], [3, 4]])) == -2
 
 
-@pytest.mark.parametrize("kind", ["deficient-gram", "symmetrized", "zero-diagonal"])
+@pytest.mark.parametrize("kind", ["deficient-gram", "symmetrized", "zero-diagonal", "weakly-dominant"])
 @given(data=st.data())
 def test_psd_det_is_det_on_psd_input_and_none_otherwise(kind, data):
     m = data.draw(symmetric_matrices(kind))
@@ -308,6 +341,10 @@ def test_principal_submatrix():
     assert principal_submatrix(QT_K4, [2]) == matrix([[3]])
     with pytest.raises(ValueError):
         principal_submatrix(QT_K4, [])
+    with pytest.raises(ValueError, match="index 0 repeated"):
+        principal_submatrix(matrix([[2, 1], [1, 3]]), [0, 0])
+    with pytest.raises(ValueError, match="index 2 repeated"):
+        principal_submatrix(QT_K4, [2, 1, 2])
 
 
 def test_matrix_validation():

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
@@ -203,10 +205,18 @@ def test_multigraph_validation():
     for bad in (True, 1.0, "1"):
         with pytest.raises(ValueError, match="adjacency entries must be ints"):
             Multigraph(1, ((0, bad), (bad, 0)))
-    with pytest.raises(ValueError, match="adjacency entries must be ints"):
-        from_edges(1, [(0, 1, 1.5)])
     with pytest.raises(ValueError):
         from_edges(2, [(1, 1, 1)])
+    # each entry of a triple is an int, each multiplicity >= 0, whatever
+    # other triples list the same pair, and the message names the triple
+    for edges, named in [([(0, 1, 1.5)], "(0, 1, 1.5)"), ([(0, 1.0, 1)], "(0, 1.0, 1)"),
+                         ([(True, 1, 1)], "(True, 1, 1)"), ([(0, 1, True)], "(0, 1, True)"),
+                         ([(0, 1, "1")], "(0, 1, '1')"),
+                         ([(0, 1, 2), (0, 1, -1)], "(0, 1, -1)"), ([(0, 1, -1), (0, 1, 1)], "(0, 1, -1)")]:
+        with pytest.raises(ValueError, match=re.escape(f"edge {named}")):
+            from_edges(2, edges)
+    assert from_edges(2, [(0, 1, 0), (1, 2, 1)]).adj == ((0, 0, 0), (0, 0, 1), (0, 1, 0))
+    assert from_edges(2, [(0, 1, 2), (1, 0, 1)]).adj[0][1] == 3
 
 
 @given(multigraphs(max_mult=2**70))
