@@ -1,17 +1,26 @@
 """Monomial ideals given by finite generator lists.
 
 A monomial is an exponent tuple; an ideal keeps its minimal generators
-only (minimalization is applied eagerly by the constructor). The
-constructor minimalizes in one lexicographic pass, testing divisibility
-on exponents packed into one int per monomial with a guard bit above
-each field. The kept generators are packed side by side into one int
-too, so one subtraction tests a generator against all of them. The zero
+only. The public constructor checks every exponent and minimalizes in
+one lexicographic pass, testing divisibility on exponents packed into
+one int per monomial with a guard bit above each field. The kept
+generators are packed side by side into one int too, so one
+subtraction tests a generator against all of them. The zero
 monomial as a generator denotes the unit ideal. Constructors cover the
 parking-function ideal of a rooted multigraph, its k-skeleton subideals,
 the ideal of a nonincreasing exponent sequence, and the skeleton-type
 ideal J_H attached to a symmetric integer matrix H with dominant
 diagonal. The two-level step-weight family of the colon recurrence is
 J_H of a weight matrix, built by `matrix_skeleton_ideal` too.
+
+Only `parking_ideal` and `skeleton_ideal` bypass the public
+constructor, through `MonomialIdeal._trusted`, which checks nothing.
+Their exponents are read off a `Multigraph`, whose constructor has
+checked every multiplicity to be an int >= 0, so each m_A is an
+n-tuple of ints >= 0. `skeleton_ideal` still minimalizes; the
+connected cuts `parking_ideal` keeps are each reached once and are the
+minimal generators already (Postnikov and Shapiro), so it only sorts
+them.
 
 The boundary monomial m_A raises x_i, for i in A, to the number of
 edges from i to V - A. `parking_ideal` and `skeleton_ideal` both grow
@@ -86,6 +95,9 @@ def _minimalize(gens: Iterable[Monomial]) -> tuple[Monomial, ...]:
 class MonomialIdeal(_Frozen):
     """nvars and the minimal generators, canonically sorted.
 
+    The constructor checks that each generator has nvars nonnegative
+    int exponents, stores it as a tuple and minimalizes; `_trusted`, for
+    `parking_ideal` and `skeleton_ideal` only, does none of this.
     Equality of two MonomialIdeal values is equality of ideals, since
     minimal generating sets of monomial ideals are unique.
     """
@@ -103,7 +115,16 @@ class MonomialIdeal(_Frozen):
                 raise ValueError(f"generator {g} has {len(g)} exponents, expected {nvars}")
             if not all(type(e) is int and e >= 0 for e in g):  # type, not isinstance: bool is rejected
                 raise ValueError(f"exponents must be nonnegative ints, got generator {g}")
-        object.__setattr__(self, "gens", _minimalize(gens))
+        object.__setattr__(self, "gens", _minimalize(map(tuple, gens)))
+
+    @classmethod
+    def _trusted(cls, nvars: int, gens: tuple[Monomial, ...]) -> MonomialIdeal:
+        """The ideal of gens as given: tuples of nvars ints >= 0, sorted
+        and minimal. Nothing is checked."""
+        ideal = object.__new__(cls)
+        object.__setattr__(ideal, "nvars", nvars)
+        object.__setattr__(ideal, "gens", gens)
+        return ideal
 
     @property
     def is_unit(self) -> bool:
@@ -169,8 +190,8 @@ def skeleton_ideal(g: Multigraph, k: int) -> MonomialIdeal:
     m_A is a multiple of the m_C of a connected subset C of A. For k = 1
     the subsets left out are exactly the non-adjacent pairs.
     """
-    if not 0 <= k <= g.n - 1:
-        raise ValueError(f"k must lie in [0, {g.n - 1}], got {k}")
+    if type(k) is not int or not 0 <= k <= g.n - 1:  # type, not isinstance: bool is rejected
+        raise ValueError(f"k must be an int in [0, {g.n - 1}], got {k!r}")
     nbr, deg, stack = _start(g)
     gens = []
     while stack:
@@ -178,7 +199,7 @@ def skeleton_ideal(g: Multigraph, k: int) -> MonomialIdeal:
         gens.append(entry[3])
         if entry[0].bit_count() <= k:
             _grow(stack, entry, g.adj, nbr, deg)
-    return MonomialIdeal(g.n, tuple(gens))
+    return MonomialIdeal._trusted(g.n, _minimalize(gens))
 
 
 def parking_ideal(g: Multigraph) -> MonomialIdeal:
@@ -193,8 +214,9 @@ def parking_ideal(g: Multigraph) -> MonomialIdeal:
     have no edge to V - A'). Any component A1 of G|A' has an edge to
     V - A', so V - A1 is connected, and m_A1 divides m_A'. So every
     m_A is a multiple of a kept one. The kept ones are exactly the
-    minimal generators (Postnikov and Shapiro, Trans. AMS 356, 2004);
-    the constructor minimalizes them all the same.
+    minimal generators (Postnikov and Shapiro, Trans. AMS 356, 2004).
+    `_grow` reaches each connected set once, so no cut repeats, and the
+    sorted cuts go to `MonomialIdeal._trusted` unminimalized.
 
     The connected sets A of G - root are grown by `_grow`. Each set
     visited costs one breadth-first search of V - A from the root, by
@@ -238,7 +260,8 @@ def parking_ideal(g: Multigraph) -> MonomialIdeal:
         elif excluded & ~frontier & rest & ~reached:
             continue  # a vertex no superset of A takes stays cut off from the root
         _grow(stack, entry, adj, nbr, deg)
-    return MonomialIdeal(n, tuple(gens))
+    gens.sort()
+    return MonomialIdeal._trusted(n, tuple(gens))
 
 
 def lambda_ideal(lam: tuple[int, ...]) -> MonomialIdeal:

@@ -1,4 +1,5 @@
 import json
+import re
 from itertools import combinations
 
 import pytest
@@ -28,6 +29,7 @@ from parkdet.multigraph import (
     laplacians,
     random_multigraph,
 )
+from parkdet.standard_count import count_standard
 from oracles import connected_boundary_monomials, matrix_skeleton_ideal_all_pairs, skeleton_ideal_all_subsets
 
 K3 = complete_multigraph(2, 1, 1)
@@ -79,6 +81,12 @@ def test_skeleton_ideal_examples():
         skeleton_ideal(K4, 3)
 
 
+@pytest.mark.parametrize("k", [1.5, True, "1"])
+def test_skeleton_ideal_rejects_non_int_k(k):
+    with pytest.raises(ValueError, match=re.escape(repr(k))):
+        skeleton_ideal(K4, k)
+
+
 def test_parking_ideal_is_top_skeleton():
     g = random_multigraph(4, 2, seed=2)
     assert parking_ideal(g) == skeleton_ideal(g, g.n - 1)
@@ -123,9 +131,23 @@ def test_parking_ideal_from_connected_cuts_matches_candidates(g):
 @given(multigraphs())
 def test_connected_cuts_are_the_minimal_generators(g):
     # Postnikov and Shapiro: the m_A of the connected cuts are exactly the
-    # minimal generators, so minimalization drops none of them (and a
-    # disconnected G passes the unit monomial alone)
-    assert handed_over(parking_ideal, g) == list(parking_ideal(g).gens)
+    # minimal generators, so minimalization would drop none of them, and
+    # parking_ideal hands nothing to it (a disconnected G passes the unit
+    # monomial alone, through the public constructor)
+    ideal = parking_ideal(g)
+    assert list(_minimalize(ideal.gens)) == list(ideal.gens)
+    assert ideal == skeleton_ideal_all_subsets(g, g.n - 1)
+    assert handed_over(parking_ideal, g) == ([(0,) * g.n] if ideal.is_unit else [])
+
+
+@given(multigraphs())
+def test_trusted_ideals_equal_their_validated_rebuild(g):
+    # parking_ideal and skeleton_ideal skip the public constructor's checks;
+    # what they store is what the checks and minimalization would give
+    for built in [parking_ideal(g)] + [skeleton_ideal(g, k) for k in range(g.n)]:
+        assert type(built.gens) is tuple and list(built.gens) == sorted(built.gens)
+        assert all(type(m) is tuple and all(type(e) is int for e in m) for m in built.gens)
+        assert built == MonomialIdeal(g.n, built.gens)
 
 
 @given(multigraphs())
@@ -415,6 +437,14 @@ def test_non_integer_exponents_rejected(bad):
     with pytest.raises(ValueError) as err:
         MonomialIdeal(3, (gen, (0, 2, 0), (0, 0, 2)))
     assert str(gen) in str(err.value)
+
+
+def test_list_generators_are_stored_as_tuples():
+    gens = ([2, 0, 0], [0, 2, 0], [0, 0, 2], [1, 1, 0], [0, 1, 1], [1, 0, 1])
+    listed, tupled = MonomialIdeal(3, gens), MonomialIdeal(3, tuple(map(tuple, gens)))
+    assert all(type(m) is tuple for m in listed.gens)
+    assert listed == tupled and hash(listed) == hash(tupled)
+    assert count_standard(listed) == 4  # 1, x, y, z
 
 
 def test_dump_formats():
