@@ -55,6 +55,15 @@ def divides(g: Monomial, m: Monomial) -> bool:
     return all(map(le, g, m))
 
 
+def _check_exponents(m: Sequence[int], nvars: int, kind: str) -> None:
+    """Raise ValueError unless m has nvars exponents, each an int >= 0;
+    kind, "generator" or "monomial", names m in the message."""
+    if len(m) != nvars:
+        raise ValueError(f"{kind} {m} has {len(m)} exponents, expected {nvars}")
+    if not all(type(e) is int and e >= 0 for e in m):  # type, not isinstance: bool is rejected
+        raise ValueError(f"exponents must be nonnegative ints, got {kind} {m}")
+
+
 def _minimalize(gens: Iterable[Monomial]) -> tuple[Monomial, ...]:
     # Any divisor of g, and any copy of g, sorts lexicographically before g.
     # Divisibility is tested on exponents packed by place value, G = g . place
@@ -111,10 +120,7 @@ class MonomialIdeal(_Frozen):
         if nvars < 0:
             raise ValueError("nvars must be >= 0")
         for g in gens:
-            if len(g) != nvars:
-                raise ValueError(f"generator {g} has {len(g)} exponents, expected {nvars}")
-            if not all(type(e) is int and e >= 0 for e in g):  # type, not isinstance: bool is rejected
-                raise ValueError(f"exponents must be nonnegative ints, got generator {g}")
+            _check_exponents(g, nvars, "generator")
         object.__setattr__(self, "gens", _minimalize(map(tuple, gens)))
 
     @classmethod
@@ -131,8 +137,7 @@ class MonomialIdeal(_Frozen):
         return len(self.gens) == 1 and not any(self.gens[0])
 
     def __contains__(self, m: Monomial) -> bool:
-        if len(m) != self.nvars:
-            raise ValueError(f"monomial {m} has {len(m)} exponents, expected {self.nvars}")
+        _check_exponents(m, self.nvars, "monomial")
         return any(divides(g, m) for g in self.gens)
 
 
@@ -325,10 +330,7 @@ def matrix_skeleton_ideal(h: IntMatrix) -> MonomialIdeal:
 
 def colon(ideal: MonomialIdeal, m: Monomial) -> MonomialIdeal:
     """Colon ideal (I : m), generated by g / gcd(g, m) over generators g."""
-    if len(m) != ideal.nvars:
-        raise ValueError(f"monomial {m} has {len(m)} exponents, expected {ideal.nvars}")
-    if not all(type(e) is int and e >= 0 for e in m):  # type, not isinstance: bool is rejected
-        raise ValueError(f"exponents must be nonnegative ints, got monomial {m}")
+    _check_exponents(m, ideal.nvars, "monomial")
     gens = tuple(tuple(max(ge - me, 0) for ge, me in zip(g, m)) for g in ideal.gens)
     return MonomialIdeal(ideal.nvars, gens)
 

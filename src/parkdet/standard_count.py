@@ -10,14 +10,15 @@ is the ideal, in the other variables, of the generators with g[0] <= p.
 It is constant between consecutive values of g[0], so each run of equal
 slices is counted once; from x_1's pure power on, the slice is the unit
 ideal, and it is never built. The slices are counted recursively down to
-closed forms: boxes of pure powers, boxes with one or two corners cut
-out (the generators that are not pure powers), and two-variable
-staircases. Each slice comes from the previous one by dropping what the
-new generators divide, which keeps it minimally generated without a
-minimalization pass. A slice is kept sorted, so the multiples of a new
-generator lie in the suffix that starts where it would be inserted, and
-only that suffix is tested, on the new generator's nonzero exponents
-alone: a zero exponent needs no test.
+one closed form, taken when at most two generators are not pure powers
+(the corners): the box of the pure powers with those corners cut out.
+A two-variable slice with more corners is sliced like any other, down
+to one-variable boxes. Each slice comes from the previous one by
+dropping what the new generators divide, which keeps it minimally
+generated without a minimalization pass. A slice is kept sorted, so the
+multiples of a new generator lie in the suffix that starts where it
+would be inserted, and only that suffix is tested, on the new
+generator's nonzero exponents alone: a zero exponent needs no test.
 
 Two routes here are independent of the counter and check it: an
 inclusion-exclusion count over generator subsets, and the enumerator,
@@ -67,21 +68,19 @@ def artinian_bounds(ideal: MonomialIdeal) -> tuple[int, ...]:
 
 def count_standard(ideal: MonomialIdeal) -> int:
     """Number of monomials outside the ideal (the quotient dimension)."""
-    bounds = artinian_bounds(ideal)
+    artinian_bounds(ideal)  # raises NonArtinianError for an infinite quotient
     if ideal.is_unit:
         return 0
-    if ideal.nvars <= 1:
-        return bounds[0] if bounds else 1
-    return _slice_count(ideal.gens, {})
+    return _slice_count(ideal.gens, {}) if ideal.gens else 1  # no variables: the quotient is the field
 
 
 def _slice_count(gens: tuple[Monomial, ...], memo: dict) -> int:
     """Standard monomials of the Artinian, non-unit ideal minimally
     generated by `gens`, which come sorted lexicographically (as
-    `MonomialIdeal` keeps them, and as each slice below is kept). With as
-    many generators as variables, those are the pure powers, and the
-    standard monomials fill their box; with one or two more, `_corners`
-    counts them in closed form, before the memo is consulted.
+    `MonomialIdeal` keeps them, and as each slice below is kept). Besides
+    one pure power per variable, an ideal with at most two more generators
+    is a leaf: `_corners` counts it in closed form, before the memo is
+    consulted.
 
     `memo` maps the sorted generators to their count. They are the ideal
     itself, in its own variable order, so two slices share an entry only
@@ -116,12 +115,8 @@ def _slice_count(gens: tuple[Monomial, ...], memo: dict) -> int:
     g[0], so re-sorting after appending them merges two sorted runs.
     """
     n = len(gens[0])
-    if len(gens) == n:
-        return prod(map(max, gens))
     if len(gens) <= n + 2:
         return _corners(gens, n)
-    if n == 2:
-        return _staircase2(gens)
     total = memo.get(gens)
     if total is None:
         total = lo = 0
@@ -152,8 +147,8 @@ def _slice_count(gens: tuple[Monomial, ...], memo: dict) -> int:
 
 
 def _corners(gens: tuple[Monomial, ...], n: int) -> int:
-    """Standard monomials of a minimal Artinian ideal in n variables with
-    one or two generators that are not pure powers (its corners).
+    """Standard monomials of a minimal Artinian ideal in n >= 1 variables
+    with at most two generators that are not pure powers (its corners).
 
     Artinian gives each variable a pure power, and minimality leaves
     exactly one, since of two pure powers of x_i one divides the other. So
@@ -163,25 +158,19 @@ def _corners(gens: tuple[Monomial, ...], n: int) -> int:
     variable, and the standard monomials are the box points divisible by
     no corner. The box points divisible by g form the box from g to b, of
     prod(b - g) points; those divisible by g and h form the box from
-    lcm(g, h) = max(g, h), which lies inside b too. So one corner leaves
-    prod(b) - prod(b - g), and two leave
+    lcm(g, h) = max(g, h), which lies inside b too. So no corner leaves
+    the box, prod(b); one leaves prod(b) - prod(b - g), and two leave
     prod(b) - prod(b - g) - prod(b - h) + prod(b - max(g, h)).
     """
-    b = tuple(map(max, *gens))
-    g, *rest = [m for m in gens if m.count(0) < n - 1]
-    total = prod(b) - prod(map(sub, b, g))
-    for h in rest:
-        total += prod(map(sub, b, map(max, g, h))) - prod(map(sub, b, h))
+    b = tuple(map(max, zip(*gens)))
+    total = prod(b)
+    corners = [m for m in gens if m.count(0) < n - 1]
+    if corners:
+        g, *rest = corners
+        total -= prod(map(sub, b, g))
+        for h in rest:
+            total += prod(map(sub, b, map(max, g, h))) - prod(map(sub, b, h))
     return total
-
-
-def _staircase2(gens: tuple[Monomial, ...]) -> int:
-    """Standard pairs (p, q) of a two-variable Artinian ideal. Sorted, its
-    minimal generators run from x_2's pure power (0, b2) down to x_1's
-    (b1, 0), and every p from one generator to the next has the same
-    number of standard q."""
-    pairs = sorted(gens)
-    return sum((nxt[0] - cur[0]) * cur[1] for cur, nxt in zip(pairs, pairs[1:]))
 
 
 def count_standard_ie(ideal: MonomialIdeal) -> int:

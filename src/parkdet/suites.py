@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import time
+from math import prod
 from typing import Callable
 
 from .exact_linalg import (
@@ -449,12 +450,8 @@ def suite_decomp(trials: int = 50, seed: int = 0) -> Report:
         lhs = det(hp)
         rhs = (alpha - b) * det(h2) + det(t)
         report.add({**base, "identity": "c", "r": r, "b": b}, lhs, rhs)
-        h1_rows = [list(row[: r + 1]) for row in hp.rows[: r + 1]]
-        h1_rows[r][r] = b
-        h1 = matrix(h1_rows)
-        tail = 1
-        for l in range(r + 1, n):
-            tail *= hp[l][l] - b
+        h1 = principal_submatrix(t, range(r + 1))
+        tail = prod(hp[l][l] - b for l in range(r + 1, n))
         dim_lhs = count_standard(matrix_skeleton_ideal(hp))
         dim_rhs = (tail * count_standard(matrix_skeleton_ideal(h1))
                    + (alpha - b) * count_standard(matrix_skeleton_ideal(h2)))
@@ -516,9 +513,7 @@ def suite_properties(seed: int = 0) -> Report:
         if det_m is None:
             report.add({**inst, "error": "expected PSD"}, 0, 0, passed=False)
             continue
-        diag_prod = 1
-        for i in range(m.order):
-            diag_prod *= m[i][i]
+        diag_prod = prod(m[i][i] for i in range(m.order))
         report.add({**inst, "bound": "hadamard"}, diag_prod, det_m, relation="geq")
         for k in range(1, m.order):
             a = principal_submatrix(m, range(k))

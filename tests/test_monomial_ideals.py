@@ -363,8 +363,9 @@ def test_contains_equals_minimalize():
     assert (2, 0) not in ideal(2, [(1, 1)])
     assert ideal(1, [(1,), (2,)]) == ideal(1, [(1,)])
     assert ideal(2, [(2, 0), (2, 1)]).gens == ((2, 0),)
-    with pytest.raises(ValueError):
-        (1, 1, 1) in ideal(2, [(1, 1)])
+    for bad in [(1, 1, 1), (1.5, 0), (True, 0), (-1, 0)]:
+        with pytest.raises(ValueError, match=r"monomial \("):
+            bad in ideal(2, [(1, 1)])
 
 
 # exponents at and just below each field-width boundary, so that a field

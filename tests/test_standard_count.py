@@ -199,6 +199,15 @@ counted_ideals = artinian_ideals() | sparse_ideals() | graph_ideals()
 
 @settings(max_examples=90)  # the profile's 30 for each strategy
 @given(counted_ideals)
+# two-variable staircases with 3 to 20 corners, cut like any other slice
+@example(ideal(2, [(0, 300), (1, 200), (2, 100), (3, 1), (257, 0)]))
+@example(ideal(2, [(0, 260), (4, 259), (9, 256), (40, 255), (100, 30), (255, 2), (256, 1), (270, 0)]))
+@example(ideal(2, [(k, 21 - k) for k in range(22)]))
+@example(ideal(2, [(13 * k, 13 * (21 - k)) for k in range(22)]))
+# the entry cases in one and no variables
+@example(MonomialIdeal(1, ((7,),)))
+@example(MonomialIdeal(0, ()))
+@example(MonomialIdeal(0, ((),)))
 def test_three_counting_routes_agree(i):
     walk = count_standard(i)
     assert walk == count_standard_ie(i)
@@ -233,8 +242,8 @@ def cornered_ideals(draw):
 @example(ideal(6, [(3,) + (0,) * 5, (0, 3, 0, 0, 0, 0), (0, 0, 3, 0, 0, 0), (0, 0, 0, 3, 0, 0),
                    (0, 0, 0, 0, 3, 0), (0,) * 5 + (3,), (2,) * 6]))
 def test_corner_leaves_match_the_oracles(i):
-    # the top of the count is a leaf: _corners counts it, before the
-    # two-variable staircase when there are two variables
+    # the top of the count is a leaf: _corners counts it, and nothing
+    # below it is sliced
     corners = []
 
     def spy(gens, n):
