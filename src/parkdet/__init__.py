@@ -18,7 +18,6 @@ from .formulas import (
     root_deleted_signless_det,
     skeleton1_dim_complete,
     steck_count,
-    steck_matrix,
     step_weight_dim,
     step_weight_identity_holds,
 )

@@ -2,21 +2,19 @@
 expressions for quotient dimensions and truncated signless Laplacian
 determinants.
 
-All evaluation is exact. Closed forms whose value is always an integer
-stay in Python ints; fractions.Fraction appears only in the Steck matrix,
-whose entries are rational, with an integrality assertion wherever an
-integer is claimed.
+All evaluation is exact and stays in Python ints, with an integrality
+check wherever a division is claimed to be exact.
 `steck_count` is the `exact_linalg.det` of an integer rescaling of the
 Steck matrix; the other closed forms stay independent of `det`, which
 they are checked against. Conventions used by the degenerate parameter
 edges are documented on each function. `_check_lambda`, the one check of
-nonincreasing sequences, is shared by `steck_matrix`, `lambda_ideal` and
+nonincreasing sequences, is shared by `steck_count`, `lambda_ideal` and
 the tests' lambda-parking oracles.
 """
 
 from __future__ import annotations
 
-from math import comb, factorial
+from math import comb
 from typing import Sequence
 
 from .exact_linalg import IntMatrix, det
@@ -39,50 +37,25 @@ def _check_lambda(lam: Sequence[int]) -> tuple[int, ...]:
     return lam
 
 
-def steck_matrix(lam: Sequence[int]) -> list[list[Fraction]]:
-    """Upper-Hessenberg Steck matrix: entry (i, j) is
-    lam[n-i]^(j-i+1) / (j-i+1)! for i <= j+1 (1-based), else 0."""
-    from fractions import Fraction  # here, not at import: no other closed form needs it
-
-    lam = _check_lambda(lam)
-    if not lam:
-        raise FormulaDomainError("empty sequence")
-    n = len(lam)
-    rows = []
-    for i in range(1, n + 1):
-        row = []
-        for j in range(1, n + 1):
-            k = j - i + 1
-            if k < 0:
-                row.append(Fraction(0))
-            else:
-                row.append(Fraction(lam[n - i]) ** k / factorial(k))
-        rows.append(row)
-    return rows
-
-
-def _as_int(value: Fraction, what: str) -> int:
-    if value.denominator != 1:
-        raise ArithmeticError(f"{what} evaluated to non-integer {value}")
-    return value.numerator
-
-
 def steck_count(lam: Sequence[int]) -> int:
     """n! times the Steck determinant: the number of vectors whose sorted
     rearrangement stays strictly below the reversed sequence.
 
-    Multiplying column j of the Steck matrix by j! and dividing row i by
-    (i-1)! (1-based) scales the determinant by exactly n! and leaves the
-    integer C(j, i-1) lam[n-i]^(j-i+1) at (i, j), so the count is the
-    `det` of that integer matrix."""
-    rows = steck_matrix(lam)
-    what = f"steck_count{tuple(lam)}"
-    scaled = IntMatrix(tuple(tuple(_as_int(x * factorial(j) / factorial(i), what)
-                                   for j, x in enumerate(row, 1))
-                             for i, row in enumerate(rows)))
-    result = det(scaled)
+    The Steck matrix is upper Hessenberg, with lam[n-i]^(j-i+1) / (j-i+1)!
+    at (i, j) for i <= j+1 (1-based) and 0 below. Multiplying column j by
+    j! and dividing row i by (i-1)! scales the determinant by exactly n!
+    and leaves the integer C(j, i-1) lam[n-i]^(j-i+1) at (i, j), so the
+    count is the `det` of that integer matrix."""
+    lam = _check_lambda(lam)
+    if not lam:
+        raise FormulaDomainError("empty sequence")
+    n = len(lam)
+    result = det(IntMatrix(tuple(
+        tuple(comb(j, i - 1) * lam[n - i] ** (j - i + 1) if j >= i - 1 else 0
+              for j in range(1, n + 1))
+        for i in range(1, n + 1))))
     if result < 0:
-        raise ArithmeticError(f"{what} evaluated negative: {result}")
+        raise ArithmeticError(f"steck_count{lam} evaluated negative: {result}")
     return result
 
 
@@ -151,6 +124,11 @@ def _theta(l: int, x: int) -> int:
     return flat_parking_count(l, x) if l else 1
 
 
+def _alternating_theta_sum(n: int, r: int, a: int) -> int:
+    """sum_i (-1)^i C(r, i) theta(n-i, a-1) for i = 0..r."""
+    return sum((-1) ** i * comb(r, i) * _theta(n - i, a - 1) for i in range(r + 1))
+
+
 def step_weight_dim(n: int, r: int, a: int) -> int:
     """Closed form for the quotient dimension of the step-weight ideal:
     the alternating binomial sum of flat parking counts
@@ -159,7 +137,7 @@ def step_weight_dim(n: int, r: int, a: int) -> int:
         raise FormulaDomainError(f"r must lie in [0, {n}], got {r}")
     if a < 2:
         raise FormulaDomainError(f"a must be >= 2, got {a}")
-    return sum((-1) ** i * comb(r, i) * _theta(n - i, a - 1) for i in range(r + 1))
+    return _alternating_theta_sum(n, r, a)
 
 
 def step_weight_identity_holds(n: int, a: int) -> bool:
@@ -172,6 +150,4 @@ def step_weight_identity_holds(n: int, a: int) -> bool:
         raise FormulaDomainError(f"n must be >= 0, got {n}")
     if a == 1:
         raise FormulaDomainError("a = 1 is outside the rational form's domain")
-    lhs = _theta(n, a - 2)
-    rhs = sum((-1) ** i * comb(n, i) * _theta(n - i, a - 1) for i in range(n + 1))
-    return lhs == rhs
+    return _theta(n, a - 2) == _alternating_theta_sum(n, n, a)

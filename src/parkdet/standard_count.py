@@ -192,10 +192,7 @@ def count_standard_ie(ideal: MonomialIdeal) -> int:
     gens = ideal.gens
     if len(gens) > IE_GENERATOR_GUARD:
         raise ValueError(f"inclusion-exclusion guard: {len(gens)} generators exceed {IE_GENERATOR_GUARD}")
-    n = ideal.nvars
-    if n == 0:
-        return 0 if gens else 1
-    coef = {(0,) * n: 1}
+    coef = {(0,) * ideal.nvars: 1}
     for g in gens:
         for lcm, c in list(coef.items()):
             merged = tuple(map(max, lcm, g))
@@ -209,7 +206,11 @@ def count_standard_ie(ideal: MonomialIdeal) -> int:
 
 
 def enumerate_standard(ideal: MonomialIdeal) -> list[Monomial]:
-    """All standard monomials in lexicographic order."""
+    """All standard monomials in lexicographic order.
+
+    An oracle for small n: it recurses once per variable, and its guard
+    bounds the count, not the depth, so the ideal (x_1, ..., x_1200)
+    counts 1 but enumerating it raises RecursionError."""
     count = count_standard(ideal)
     if count > ENUMERATION_GUARD:
         raise ValueError(f"enumeration guard: {count} standard monomials exceed {ENUMERATION_GUARD}")

@@ -467,6 +467,7 @@ loaded = sorted({"dataclasses", "inspect", "fractions", "csv"} & (set(sys.module
 assert not loaded, f"importing parkdet.cli loaded {loaded}"
 from parkdet.formulas import steck_count
 assert steck_count((3, 2, 2)) == 20
+assert "fractions" not in sys.modules
 assert parkdet.cli.main(["verify", "rc", "--n", "2", "--trials", "1", "--format", "csv"]) == 0
 """
 

@@ -14,7 +14,6 @@ from parkdet.formulas import (
     root_deleted_signless_det,
     skeleton1_dim_complete,
     steck_count,
-    steck_matrix,
     step_weight_dim,
     step_weight_identity_holds,
 )
@@ -22,12 +21,6 @@ from parkdet.monomial_ideals import lambda_ideal, step_weight_ideal
 from parkdet.multigraph import complete_minus_root_edges, laplacians
 from parkdet.standard_count import count_standard
 from oracles import count_lambda_parking, is_lambda_parking, steck_poly_flat, steck_poly_progression
-
-
-def test_steck_matrix_examples():
-    assert steck_matrix((2, 1)) == [[Fraction(1), Fraction(1, 2)], [Fraction(1), Fraction(2)]]
-    assert steck_matrix((1,)) == [[Fraction(1)]]
-    assert steck_matrix((3, 2, 2))[0] == [Fraction(2), Fraction(2), Fraction(4, 3)]
 
 
 def test_steck_count_examples():
