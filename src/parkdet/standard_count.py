@@ -1,24 +1,32 @@
 """Counting and enumerating standard monomials of Artinian quotients.
 
 A monomial ideal is Artinian here when every variable carries a pure
-power generator. The counter memoizes counts within a call, keyed by the
-sorted generators, which are the ideal itself, so the memo is sound, and
-it splits the quotient into slices by the exponent p of the first
-variable, as the generators give it (the divide-and-conquer step of the
-Hilbert-series algorithms of Bayer-Stillman and Bigatti): the slice at p
-is the ideal, in the other variables, of the generators with g[0] <= p.
-It is constant between consecutive values of g[0], so each run of equal
-slices is counted once; from x_1's pure power on, the slice is the unit
-ideal, and it is never built. The slices are counted recursively down to
-one closed form, taken when at most two generators are not pure powers
-(the corners): the box of the pure powers with those corners cut out.
-A two-variable slice with more corners is sliced like any other, down
-to one-variable boxes. Each slice comes from the previous one by
-dropping what the new generators divide, which keeps it minimally
-generated without a minimalization pass. A slice is kept sorted, so the
-multiples of a new generator lie in the suffix that starts where it
-would be inserted, and only that suffix is tested, on the new
-generator's nonzero exponents alone: a zero exponent needs no test.
+power generator. The counter packs each generator once into one int:
+x_1 in the top field, each exponent in a field of k bytes, k the fewest
+whose top bit, the field's guard, no exponent reaches. Packed ints sort
+as the exponent tuples do, dropping x_1 is a mask, reading its exponent
+a shift, and a divisibility test one subtraction that the guards keep
+from borrowing across fields. The counter memoizes counts within a call,
+keyed by the sorted packed generators, which are the ideal itself at the
+call's one field width (a slice never raises an exponent, so the width
+chosen at the top fits every slice), so the memo is sound, and it splits
+the quotient into slices by the exponent p of the first variable, as the
+generators give it (the divide-and-conquer step of the Hilbert-series
+algorithms of Bayer-Stillman and Bigatti): the slice at p is the ideal,
+in the other variables, of the generators with g_1 <= p. It is constant
+between consecutive values of g_1, so each run of equal slices is
+counted once; from x_1's pure power on, the slice is the unit ideal, and
+it is never built. The slices are counted recursively down to one closed
+form, taken when at most two generators are not pure powers (the
+corners): the box of the pure powers with those corners cut out, read
+off the bytes of the box and of the box minus a corner, which lies
+strictly inside it, so the subtraction never borrows. A two-variable
+slice with more corners is sliced like any other, down to one-variable
+boxes. Each slice comes from the previous one by dropping what the new
+generators divide, which keeps it minimally generated without a
+minimalization pass. A slice is kept sorted, so the multiples of a new
+generator lie in the suffix that starts where it would be inserted, and
+only that suffix is tested.
 
 Two routes here are independent of the counter and check it: an
 inclusion-exclusion count over generator subsets, and the enumerator,
@@ -36,9 +44,9 @@ results are Python ints (arbitrary precision).
 from __future__ import annotations
 
 from bisect import bisect_left
-from itertools import groupby
 from math import prod
-from operator import itemgetter, le, lt, sub
+from operator import lt, sub
+from typing import Sequence
 
 from .monomial_ideals import Monomial, MonomialIdeal
 
@@ -68,108 +76,135 @@ def artinian_bounds(ideal: MonomialIdeal) -> tuple[int, ...]:
 
 def count_standard(ideal: MonomialIdeal) -> int:
     """Number of monomials outside the ideal (the quotient dimension)."""
-    artinian_bounds(ideal)  # raises NonArtinianError for an infinite quotient
+    bounds = artinian_bounds(ideal)  # raises NonArtinianError for an infinite quotient
     if ideal.is_unit:
         return 0
-    return _slice_count(ideal.gens, {}) if ideal.gens else 1  # no variables: the quotient is the field
+    if not ideal.gens:
+        return 1  # no variables: the quotient is the field
+    # every exponent is at most the largest pure power, so k bytes a field
+    # leave each field's top bit free as the guard
+    k = max(bounds).bit_length() // 8 + 1
+    if k == 1:
+        gens = tuple(int.from_bytes(bytes(g), "big") for g in ideal.gens)
+    else:
+        gens = tuple(int.from_bytes(b"".join(e.to_bytes(k, "big") for e in g), "big") for g in ideal.gens)
+    return _slice_count(gens, ideal.nvars, k, {})
 
 
-def _slice_count(gens: tuple[Monomial, ...], memo: dict) -> int:
-    """Standard monomials of the Artinian, non-unit ideal minimally
-    generated by `gens`, which come sorted lexicographically (as
-    `MonomialIdeal` keeps them, and as each slice below is kept). Besides
-    one pure power per variable, an ideal with at most two more generators
-    is a leaf: `_corners` counts it in closed form, before the memo is
-    consulted.
+def _slice_count(gens: tuple[int, ...], n: int, k: int, memo: dict) -> int:
+    """Standard monomials of the Artinian, non-unit ideal in n variables
+    minimally generated by `gens`, packed as `count_standard` packs them
+    (k bytes a field, x_1 on top) and sorted, which for packed ints is
+    the lexicographic order of the exponent tuples. Besides one pure power
+    per variable, an ideal with at most two more generators is a leaf:
+    `_corners` counts it in closed form, before the memo is consulted.
 
-    `memo` maps the sorted generators to their count. They are the ideal
-    itself, in its own variable order, so two slices share an entry only
-    when they are the same ideal, and the memo is sound. The sum runs over
-    the slices x_1 = p of the ideal's own first variable.
+    `memo` maps the sorted packed generators to their count. Packing is
+    injective at one field width, one width serves the whole call, and the
+    last generator, x_1's pure power, is the only one with a nonzero top
+    field, so the key fixes n too. Two slices share an entry only when
+    they are the same ideal, and the memo is sound.
 
-    The slice at p is the ideal of the generators with g[0] <= p, with x_1
-    dropped; it only changes at the cuts, the distinct values of g[0]. The
-    sorted generators come grouped by g[0], and the last cut holds only
-    x_1's pure power: any other generator with g[0] at least its exponent
-    would be its multiple. From there on the slice is the unit ideal and
-    counts nothing, so the pass stops before the last cut and counts the
-    slice of the cut before it up to x_1's exponent.
+    The slice at p is the ideal of the generators with g_1 <= p, with x_1
+    dropped; it only changes at the cuts, the distinct values of the top
+    field g_1 = g >> top, and each group of generators with one cut is
+    found by bisecting for the next cut's first value. The last cut holds
+    only x_1's pure power: any other generator with g_1 at least its
+    exponent would be its multiple. From there on the slice is the unit
+    ideal, so the pass stops before the last cut and counts the slice of
+    the cut before it up to x_1's exponent.
 
-    The slices are built in one pass over the generators grouped by g[0]:
-    at each cut, the kept projections that a new projection g[1:] divides
-    are dropped and the new ones appended. Because `gens` is minimal, this
-    leaves each slice minimally generated with no further check: two
-    generators with equal g[0] project to incomparable monomials, and a
-    projection h[1:] with h[0] < g[0] never divides g[1:], since h would
-    then divide g. So each slice handed down is minimal again.
-
-    The kept projections stay sorted lexicographically. A multiple h of g
-    is at least g in every exponent, so h >= g as tuples, and only the
-    suffix from bisect_left(kept, g) can hold one; the prefix is left
-    untested. A zero exponent of g needs no test, so h is tested on g's
-    support only, and first on its last variable: where h agrees with g's
-    zero prefix, h >= g as tuples already forces h to reach g's first
-    nonzero exponent, so that test would rarely rule h out. With one
-    nonzero exponent the test is that one comparison. The new projections
-    of a cut are sorted already, since `gens` is sorted and they share
-    g[0], so re-sorting after appending them merges two sorted runs.
+    At each cut, the kept projections that a new projection g & low (g
+    without x_1) divides are dropped and the new ones appended. Because
+    `gens` is minimal, each slice stays minimally generated: two
+    generators with equal g_1 project to incomparable monomials, and the
+    projection of h with h_1 < g_1 never divides that of g, since h would
+    then divide g. The kept projections stay sorted, and a multiple h of g
+    is at least g in every exponent, so h >= g, and only the suffix from
+    bisect_left(kept, g) is tested. The test is one subtraction: `guard`
+    holds the top bit of every field, which no exponent reaches, so no
+    field of h | guard is below g's, nothing borrows across fields, and a
+    field keeps its guard bit exactly when h's exponent is at least g's.
+    The new projections of a cut are sorted already, so re-sorting after
+    appending them merges two sorted runs.
     """
-    n = len(gens[0])
     if len(gens) <= n + 2:
-        return _corners(gens, n)
+        return _corners(gens, n, k)
     total = memo.get(gens)
     if total is None:
-        total = lo = 0
-        kept: list[Monomial] = []
-        for cut, group in groupby(gens[:-1], itemgetter(0)):
-            new = [g[1:] for g in group]
+        top = 8 * k * (n - 1)
+        low = (1 << top) - 1
+        guard = int.from_bytes((b"\x80" + bytes(k - 1)) * (n - 1), "big")
+        total = lo = start = 0
+        last = len(gens) - 1
+        kept: list[int] = []
+        while start < last:
+            cut = gens[start] >> top
+            end = bisect_left(gens, cut + 1 << top, start, last)
+            new = [g & low for g in gens[start:end]]
+            start = end
             if kept:  # the slice of the previous cut holds up to this one
-                total += (cut - lo) * _slice_count(tuple(kept), memo)
+                total += (cut - lo) * _slice_count(tuple(kept), n - 1, k, memo)
                 for g in new:
                     i = bisect_left(kept, g)
-                    support = [j for j, e in enumerate(g) if e]
-                    j = support[-1]
-                    e = g[j]
-                    if len(support) == 1:
-                        kept[i:] = [h for h in kept[i:] if h[j] < e]
-                    else:
-                        on = itemgetter(*support)
-                        es = on(g)
-                        kept[i:] = [h for h in kept[i:] if h[j] < e or not all(map(le, es, on(h)))]
+                    kept[i:] = [h for h in kept[i:] if ((h | guard) - g) & guard != guard]
                 kept += new
                 kept.sort()  # two sorted runs, merged in linear time
             else:
                 kept = new
             lo = cut
-        total += (gens[-1][0] - lo) * _slice_count(tuple(kept), memo)
+        total += ((gens[-1] >> top) - lo) * _slice_count(tuple(kept), n - 1, k, memo)
         memo[gens] = total
     return total
 
 
-def _corners(gens: tuple[Monomial, ...], n: int) -> int:
-    """Standard monomials of a minimal Artinian ideal in n >= 1 variables
-    with at most two generators that are not pure powers (its corners).
+def _fields(p: int, n: int, k: int) -> Sequence[int]:
+    """The n exponents packed in p, k bytes each, x_1 first: for k = 1
+    the bytes of p themselves."""
+    b = p.to_bytes(n * k, "big")
+    return b if k == 1 else [int.from_bytes(b[i:i + k], "big") for i in range(0, n * k, k)]
+
+
+def _corners(gens: tuple[int, ...], n: int, k: int) -> int:
+    """Standard monomials of a minimal Artinian ideal in n >= 1 variables,
+    packed as for `_slice_count`, with at most two generators that are
+    not pure powers (its corners).
 
     Artinian gives each variable a pure power, and minimality leaves
     exactly one, since of two pure powers of x_i one divides the other. So
-    the corners are the generators with more than one nonzero exponent.
-    A corner g lies strictly inside the box b of the pure powers: g_i >= b_i
-    would make x_i^b_i divide g. So b is the largest exponent of each
-    variable, and the standard monomials are the box points divisible by
-    no corner. The box points divisible by g form the box from g to b, of
-    prod(b - g) points; those divisible by g and h form the box from
+    the corners are the generators with more than one nonzero field.
+    Adding `fill`, all bits below each guard, carries into a field's guard
+    bit exactly when the field is nonzero, and no further, so a pure power
+    keeps a single guard bit. With no corners, the generators sum to the
+    box.
+
+    The box B, the sum of the pure powers, packs each variable's pure
+    power exponent b_i. A corner g lies strictly inside the box: g_i >=
+    b_i would make x_i^b_i divide g. So B - g borrows in no field and
+    packs b - g. The box points divisible by g form the box from g to b,
+    of prod(b - g) points; those divisible by g and h form the box from
     lcm(g, h) = max(g, h), which lies inside b too. So no corner leaves
-    the box, prod(b); one leaves prod(b) - prod(b - g), and two leave
-    prod(b) - prod(b - g) - prod(b - h) + prod(b - max(g, h)).
+    prod(b) standard monomials; one leaves prod(b) - prod(b - g), and two
+    leave prod(b) - prod(b - g) - prod(b - h) + prod(b - max(g, h)). Of
+    the generators, only the two corners are unpacked, for their max.
     """
-    b = tuple(map(max, zip(*gens)))
-    total = prod(b)
-    corners = [m for m in gens if m.count(0) < n - 1]
-    if corners:
-        g, *rest = corners
-        total -= prod(map(sub, b, g))
-        for h in rest:
-            total += prod(map(sub, b, map(max, g, h))) - prod(map(sub, b, h))
+    if len(gens) == n:
+        return prod(_fields(sum(gens), n, k))
+    guard = int.from_bytes((b"\x80" + bytes(k - 1)) * n, "big")
+    fill = guard - (guard >> 8 * k - 1)
+    box = 0
+    corners = []
+    for g in gens:
+        nonzero = (g + fill) & guard
+        if nonzero & (nonzero - 1):
+            corners.append(g)
+        else:
+            box += g
+    b = _fields(box, n, k)
+    g, *rest = corners
+    total = prod(b) - prod(_fields(box - g, n, k))
+    for h in rest:
+        total += prod(map(sub, b, map(max, _fields(g, n, k), _fields(h, n, k)))) - prod(_fields(box - h, n, k))
     return total
 
 

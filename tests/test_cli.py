@@ -480,9 +480,10 @@ def test_cli_import_loads_no_unused_stdlib(fresh_python):
 
 # J_H of a tridiagonal matrix, diagonal 3 and off-diagonal 1, of order 200:
 # the counter takes a frame per variable, so a recursion limit of 100 stops
-# it. At the default limit memory runs out first on this chain: the count
-# of order N held 44, 145 and 340 MB at N = 200, 300 and 400, growing as
-# N^3, so the order-1100 chain would need about 7 GB (extrapolated).
+# it. The default limit stops it too, before memory runs out: the count of
+# order N held 3.5, 13 and 31 MB at N = 200, 300 and 400, growing about as
+# N^3, order 990 counts with 388 MB, and orders 1000 and 1100 exit 1 on
+# the limit, holding 399 and 525 MB.
 DEEP_COUNT = """
 import json, sys
 import parkdet.cli

@@ -42,6 +42,13 @@ def ideal(nvars, gens):
     return MonomialIdeal(nvars, tuple(tuple(g) for g in gens))
 
 
+def unpack(p, n, k):
+    # the exponents of a monomial the counter packed, k bytes a field,
+    # x_1 in the top field
+    b = p.to_bytes(n * k, "big")
+    return tuple(int.from_bytes(b[i:i + k], "big") for i in range(0, n * k, k))
+
+
 def test_count_examples():
     assert count_standard(ideal(2, [(1, 0), (0, 1)])) == 1
     assert count_standard(parking_ideal(K4)) == 16
@@ -61,6 +68,32 @@ def test_count_routes_agree_above_eight_bit_exponents():
                   (255, 1, 255), (2, 2, 2), (257, 1, 0), (3, 301, 3)])
     assert len(i.gens) == 7
     assert count_standard(i) == count_standard_ie(i) == 436093
+
+
+@pytest.mark.parametrize("top, width", [(127, 1), (128, 2), (255, 2), (256, 2), (32767, 2), (32768, 3)])
+def test_count_routes_agree_at_field_width_boundaries(top, width):
+    # the largest exponent sets the bytes per field, the fewest whose top
+    # bit, the guard, no exponent reaches. A two-corner leaf with box
+    # fields of top, counted as it stands; and a sliced ideal whose
+    # filter tests projections with exponents top - 1 against top, the
+    # guard bit right above top's field when top is 127 or 32767
+    leaf = ideal(3, [(top, 0, 0), (0, top, 0), (0, 0, 3), (top - 1, 1, 0), (1, top - 1, 2)])
+    sliced = ideal(3, [(3, 0, 0), (0, top, 0), (0, 0, top), (1, top - 1, 1), (1, 1, top - 1),
+                       (2, top - 1, 0), (2, 0, top - 1)])
+    assert len(leaf.gens) == 5 and len(sliced.gens) == 7
+    widths = []
+    original = standard_count._slice_count
+
+    def spy(gens, n, k, memo):
+        widths.append(k)
+        return original(gens, n, k, memo)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(standard_count, "_slice_count", spy)
+        for i in (leaf, sliced):
+            assert count_standard(i) == count_standard_ie(i)
+    assert set(widths) == {width}
+    assert len(widths) > 2  # the sliced ideal went below its top
 
 
 def ie_by_subsets(i):
@@ -243,12 +276,13 @@ def cornered_ideals(draw):
                    (0, 0, 0, 0, 3, 0), (0,) * 5 + (3,), (2,) * 6]))
 def test_corner_leaves_match_the_oracles(i):
     # the top of the count is a leaf: _corners counts it, and nothing
-    # below it is sliced
+    # below it is sliced; it gets the ideal itself, packed
     corners = []
 
-    def spy(gens, n):
+    def spy(gens, n, k):
         corners.append(len(gens) - n)
-        return original(gens, n)
+        assert [unpack(p, n, k) for p in gens] == list(i.gens)
+        return original(gens, n, k)
 
     original = standard_count._corners
     with pytest.MonkeyPatch.context() as mp:
@@ -270,13 +304,19 @@ def test_every_slice_is_minimally_generated(i):
     # the counter keeps a slice minimal only by filtering the previous
     # one; the recursion looks up the module's _slice_count, so every
     # slice passes through the wrapper. A slice must also arrive sorted:
-    # it is its own memo key and is cut in order of its first exponent
+    # it is its own memo key and is cut in order of its first exponent.
+    # It arrives packed, so it is decoded at the call's field width; the
+    # ints must sort as their exponent tuples do, and no exponent may
+    # reach a field's top bit, the guard
     original = standard_count._slice_count
 
-    def checked(gens, memo):
-        assert sorted(gens) == list(_minimalize(gens))
-        assert list(gens) == sorted(gens)
-        return original(gens, memo)
+    def checked(gens, n, k, memo):
+        tuples = [unpack(p, n, k) for p in gens]
+        assert sorted(tuples) == list(_minimalize(tuples))
+        assert tuples == sorted(tuples)
+        assert [unpack(p, n, k) for p in sorted(gens)] == sorted(tuples)
+        assert max(map(max, tuples)) < 1 << 8 * k - 1
+        return original(gens, n, k, memo)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(standard_count, "_slice_count", checked)

@@ -18,3 +18,23 @@ def test_sources_parse_as_python_3_10():
     assert len(paths) > 10
     for path in paths:
         ast.parse(path.read_text(encoding="utf-8"), filename=str(path.relative_to(ROOT)), feature_version=(3, 10))
+
+
+def test_int_byte_conversions_pass_their_byteorder():
+    # Before 3.11, int.to_bytes and int.from_bytes have no default
+    # byteorder, and to_bytes no default length. A later interpreter runs
+    # such a call without complaint, so the calls in src/parkdet are
+    # checked by their syntax
+    def missing(call):
+        given = {kw.arg for kw in call.keywords}
+        need = {"byteorder": 1} if call.func.attr == "from_bytes" else {"length": 0, "byteorder": 1}
+        return [name for name, pos in need.items() if len(call.args) <= pos and name not in given]
+
+    checked = 0
+    for path in sorted((ROOT / "src" / "parkdet").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in ("to_bytes", "from_bytes")):
+                checked += 1
+                assert not missing(node), f"{path.relative_to(ROOT)}:{node.lineno} {node.func.attr} lacks {missing(node)}"
+    assert checked > 0
