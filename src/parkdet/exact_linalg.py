@@ -10,19 +10,23 @@ positive diagonal pivots, never from floating-point eigenvalues. No
 floats appear anywhere.
 
 On a symmetric matrix, `det` and `psd_det` (which `is_psd` falls back on) run
-the same in-place step, `_pivot_step`: a symmetric swap brings a
-diagonal pivot to (k, k), and every later row is updated in its upper
-triangle only, then mirrored.
-The swap conjugates by a permutation matrix P, and det(P A P^T) =
-det(P)^2 det(A) = det(A). The trailing block stays symmetric, and after
-pivoting on the principal set S each of its entries (i, j) is the
-bordered minor det A[S+i, S+j] (Sylvester's identity), so each
-numerator is divisible by the previous pivot det A[S] and every `//` is
-exact. An all-zero row gives all-zero rows under the step, so it needs
-no bookkeeping. When no nonzero diagonal entry is left, `det` hands this
-state to Bareiss's row-pivoted elimination, which also runs all of
-non-symmetric input. `char_poly` and `det_cofactor` share no code with
-`psd_det` and `det`, so the tests use them as independent routes.
+the same in-place kernel, `_pivot_pair`: symmetric swaps bring two
+diagonal pivots to (k, k) and (k+1, k+1), and one pass over the trailing
+block takes both Bareiss steps, updating every later row in its upper
+triangle only, then mirroring it. Each swap conjugates by a permutation
+matrix P, and det(P A P^T) = det(P)^2 det(A) = det(A). The trailing
+block stays symmetric, and after pivoting on the principal set S each of
+its entries (i, j) is the bordered minor det A[S+i, S+j] (Sylvester's
+identity). A pass's quotient is exactly what two single steps would
+give, so its numerator is that integer times prev*p, the product of the
+two divisors of the single steps, and every `//` is exact (Bareiss,
+Math. Comp. 22, 1968). The second pivot is chosen before the block is
+touched, from the diagonal after one step, (a_tt*p - a_kt^2) // prev for
+t > k, which costs O(n). An all-zero row gives all-zero rows under a
+step, so it needs no bookkeeping. When no nonzero pivot is left, `det`
+hands this state to Bareiss's row-pivoted elimination, which also runs
+all of non-symmetric input. `char_poly` and `det_cofactor` share no code
+with `psd_det` and `det`, so the tests use them as independent routes.
 """
 
 from __future__ import annotations
@@ -126,43 +130,57 @@ def matmul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     return IntMatrix(tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a.rows))
 
 
-def _pivot_step(a: list[list[int]], k: int, s: int, prev: int) -> int:
-    """One symmetric Bareiss step on the trailing block a[k:, k:], in place.
+def _swap(a: list[list[int]], k: int, s: int):
+    """Swaps row and column s with row and column k, in place."""
+    a[k], a[s] = a[s], a[k]
+    for row in a:
+        row[k], row[s] = row[s], row[k]
 
-    Swaps row and column s with row and column k, so the diagonal entry
-    a[s][s] becomes the pivot p = a[k][k], then sets every a[i][j] with
-    i, j > k to (a[i][j]*p - a[i][k]*a[k][j]) // prev, computing the upper
-    triangle and mirroring it. Returns p, the next step's `prev`. Later
-    steps read only a[k+1:, k+1:], so rows and columns up to k are left
-    as they are.
+
+def _pivot_pair(a: list[list[int]], k: int, prev: int) -> int:
+    """Two symmetric Bareiss steps on the trailing block a[k:, k:], in one
+    pass, in place, on the pivots p = a[k][k] and q, the entry at
+    (k+1, k+1) after the first step.
+
+    Row k+1 gets the first step, b_j = (a[k+1][j]*p - a[k+1][k]*a[k][j])
+    // prev for j > k, so q = b_{k+1}. Every a[i][j] with i, j > k+1 then
+    becomes (a[i][j]*p*q - a[i][k]*q*a[k][j] - b_i*prev*b_j) // (prev*p),
+    the second step applied to the first, written in the upper triangle
+    and mirrored. Returns q, the next pass's `prev`. Later steps read only
+    a[k+2:, k+2:], and row k+1 keeps b, so a[n-1][n-1] is q when k+1 is
+    the last index.
     """
     n = len(a)
-    if s != k:
-        a[k], a[s] = a[s], a[k]
-        for row in a:
-            row[k], row[s] = row[s], row[k]
-    pivot_row = a[k]
-    p = pivot_row[k]
-    for i in range(k + 1, n):
+    r0, r1 = a[k], a[k + 1]
+    p, f = r0[k], r1[k]
+    for j in range(k + 1, n):
+        r1[j] = (r1[j] * p - f * r0[j]) // prev
+    q = r1[k + 1]
+    pq, den = p * q, prev * p
+    for i in range(k + 2, n):
         row = a[i]
-        f = row[k]
+        fi, gi = row[k] * q, r1[i] * prev
         for j in range(i, n):
-            row[j] = a[j][i] = (row[j] * p - f * pivot_row[j]) // prev
-    return p
+            row[j] = a[j][i] = (row[j] * pq - fi * r0[j] - gi * r1[j]) // den
+    return q
 
 
 def det(m: IntMatrix) -> int:
     """Exact determinant by Bareiss fraction-free elimination. Every
     division is exact, so the result is a certificate.
 
-    On symmetric input, `_pivot_step` pivots on the first nonzero
-    diagonal entry of the trailing block while there is one; row-pivoted
-    elimination finishes (all of it on non-symmetric input). The handoff
-    is exact: each symmetric step conjugates by a permutation, so after k
-    steps the trailing block is the Bareiss state of P A P^T, whose
-    determinant is det(A), and `_pivot_step` has written both of its
-    triangles. A zero column gives 0; otherwise the last pivot, times the
-    sign of the row swaps, is the determinant.
+    On symmetric input, `_pivot_pair` takes two diagonal pivots per pass
+    while it finds them: the first nonzero diagonal entry of the trailing
+    block is swapped to (k, k), and then the first t > k, trying k+1
+    first, whose diagonal entry after one step, (a_tt*p - a_kt^2) // prev,
+    is nonzero is swapped to (k+1, k+1). Row-pivoted elimination finishes
+    (all of it on non-symmetric input), from k when no first pivot is
+    left, or when no second one is, with a_kk as its first pivot. The
+    handoff is exact: each swap conjugates by a permutation, so the
+    trailing block is the Bareiss state of P A P^T, whose determinant is
+    det(A), and `_pivot_pair` has written both of its triangles. A zero
+    column gives 0; otherwise the last pivot, times the sign of the row
+    swaps, is the determinant.
     """
     n = m.order
     if n == 0:
@@ -174,8 +192,17 @@ def det(m: IntMatrix) -> int:
             s = k if a[k][k] else next((s for s in range(k + 1, n) if a[s][s]), None)
             if s is None:
                 break
-            prev = _pivot_step(a, k, s, prev)
-            k += 1
+            if s != k:
+                _swap(a, k, s)
+            p = a[k][k]
+            f = a[k + 1][k]
+            if a[k + 1][k + 1] * p == f * f:
+                t = next((t for t in range(k + 2, n) if a[t][t] * p != a[t][k] * a[t][k]), None)
+                if t is None:
+                    break
+                _swap(a, k + 1, t)
+            prev = _pivot_pair(a, k, prev)
+            k += 2
     sign = 1
     for k in range(k, n - 1):
         if a[k][k] == 0:
@@ -184,10 +211,14 @@ def det(m: IntMatrix) -> int:
                 return 0
             a[k], a[pivot] = a[pivot], a[k]
             sign = -sign
+        pivot_row = a[k]
+        p = pivot_row[k]
         for i in range(k + 1, n):
+            row = a[i]
+            f = row[k]
             for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
+                row[j] = (row[j] * p - f * pivot_row[j]) // prev
+        prev = p
     return sign * a[n - 1][n - 1]
 
 
@@ -263,13 +294,22 @@ def psd_det(m: IntMatrix) -> int | None:
     semidefinite, and None if it is not, by fraction-free (Bareiss)
     elimination on positive diagonal pivots.
 
-    Each step k looks at the trailing block A = a[k:, k:]. A negative
-    diagonal entry, or a zero diagonal entry with a nonzero entry in its
-    row, is a negative 1x1 or 2x2 principal minor, so A is not PSD. If no
-    diagonal entry is positive, A is all zero, hence PSD and singular.
-    Otherwise `_pivot_step` pivots on the first positive diagonal entry
-    p = a_ss. All-zero rows stay all zero and are never chosen as pivots,
-    and they do not change PSD-ness.
+    Each single step k looks at the trailing block A = a[k:, k:]. A
+    negative diagonal entry, or a zero diagonal entry with a nonzero entry
+    in its row, is a negative 1x1 or 2x2 principal minor, so A is not PSD.
+    If no diagonal entry is positive, A is all zero, hence PSD and
+    singular. Otherwise the step pivots on the first positive diagonal
+    entry p = a_ss. All-zero rows stay all zero and are never chosen as
+    pivots, and they do not change PSD-ness.
+
+    `_pivot_pair` takes two such steps per pass. The first pivot p is
+    checked on the block as it stands; when k is the last index, p is
+    the determinant. The second step's checks run on the diagonal after
+    one step, prev * d_t = a_tt*p - a_kt^2 for t > k, which has the sign
+    of d_t as prev > 0, and a zero d_t's row after one step is computed
+    only then. The first positive d_t is swapped to k+1; if there is
+    none, the block after one step is zero and the result is 0. So every
+    None, 0 or determinant is the one single steps give.
 
     Every step keeps PSD-ness: the new trailing block is (p/prev) times
     the Schur complement A/a_ss, with p, prev > 0, and for a_ss > 0 the
@@ -282,7 +322,7 @@ def psd_det(m: IntMatrix) -> int | None:
     a = [list(row) for row in m.rows]
     n = len(a)
     prev = 1
-    for k in range(n):
+    for k in range(0, n, 2):
         pivot = None
         for i in range(k, n):
             row = a[i]
@@ -296,7 +336,29 @@ def psd_det(m: IntMatrix) -> int | None:
                 return None
         if pivot is None:
             return 0
-        prev = _pivot_step(a, k, pivot, prev)
+        if pivot != k:
+            _swap(a, k, pivot)
+        r0 = a[k]
+        p = r0[k]
+        if k == n - 1:
+            return p
+        pivot = None
+        for t in range(k + 1, n):
+            row = a[t]
+            f = row[k]
+            d = row[t] * p - f * f  # prev > 0 times the diagonal entry after one step
+            if d < 0:
+                return None
+            if d:
+                if pivot is None:
+                    pivot = t
+            elif any(x * p != f * y for x, y in zip(row[k + 1:], r0[k + 1:])):
+                return None
+        if pivot is None:
+            return 0
+        if pivot != k + 1:
+            _swap(a, k + 1, pivot)
+        prev = _pivot_pair(a, k, prev)
     return prev
 
 

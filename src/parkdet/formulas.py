@@ -61,9 +61,13 @@ def steck_count(lam: Sequence[int]) -> int:
 
 def flat_parking_count(l: int, x: int) -> int:
     """x^(l-1)(x+l): vectors of length l sorted strictly below
-    (x+1, x, ..., x)."""
+    (x+1, x, ..., x). At x = 0 only the zero vector fits when l = 1, and
+    none does when l >= 2. No vector fits below a negative entry, so
+    x < 0 is outside the domain, where the polynomial is not a count."""
     if l < 1:
-        raise FormulaDomainError("l must be >= 1")
+        raise FormulaDomainError(f"l must be >= 1, got {l}")
+    if x < 0:
+        raise FormulaDomainError(f"x must be >= 0, got {x}")
     return x ** (l - 1) * (x + l)
 
 
@@ -120,8 +124,9 @@ def root_deleted_signless_det(n: int, r: int) -> int:
 
 def _theta(l: int, x: int) -> int:
     """x^(l-1)(x+l) in the simplified rational-function form: l = 0 gives
-    1 (x^(-1) * x), and 0^0 counts as 1."""
-    return flat_parking_count(l, x) if l else 1
+    1 (x^(-1) * x), and 0^0 counts as 1. Any integer x is taken, negative
+    ones too: the step-weight identity is a polynomial identity in a."""
+    return x ** (l - 1) * (x + l) if l else 1
 
 
 def _alternating_theta_sum(n: int, r: int, a: int) -> int:

@@ -141,6 +141,27 @@ def test_formulas(capsys):
     assert capsys.readouterr().out == '{"parking_dim_complete": "16", "step_weight_identity_holds": "true"}\n'
 
 
+@pytest.mark.parametrize("flat, message", [
+    ("3,-2", "x must be >= 0, got -2"),
+    ("2,-1", "x must be >= 0, got -1"),
+    ("0,3", "l must be >= 1, got 0"),
+])
+def test_flat_outside_its_domain_exits_1(flat, message, capsys):
+    assert main(["formulas", "--flat", flat]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_flat_at_zero_and_identity_below_one(capsys):
+    assert main(["formulas", "--flat", "1,0"]) == 0
+    assert capsys.readouterr().out == "flat_parking_count = 1\n"
+    assert main(["formulas", "--flat", "2,0"]) == 0
+    assert capsys.readouterr().out == "flat_parking_count = 0\n"
+    assert main(["formulas", "--identity", "3,-1"]) == 0
+    assert capsys.readouterr().out == "step_weight_identity_holds = true\n"
+
+
 ALL_FORMULAS = ["--parking", "3,1,1", "--skel1", "3,1,1", "--qdet", "3,1", "--step-dim", "3,1,3",
                 "--steck", "3,2,2", "--flat", "2,3", "--identity", "3,3"]
 ALL_FORMULAS_VALUES = [

@@ -77,8 +77,9 @@ def symmetric_with_zero_diagonals(draw):
     """(m, expected): a symmetric matrix, often with a zero diagonal, or a
     conjugate of diag(B, Z) with B = G^T G + I positive definite and Z
     with a zero diagonal, whose determinant is det(B) * det(Z) (None for
-    the first kind). On the second kind `det` pivots symmetrically
-    exactly order(B) times before row pivots finish."""
+    the first kind). On the second kind `det` takes the order(B) pivots
+    of B first, two per pass, and row pivots finish: they take the last
+    pivot of B too when order(B) is odd."""
     if draw(st.booleans()):
         n = draw(st.integers(min_value=1, max_value=8))
         upper = draw(int_rows(n, n, 2))
@@ -116,6 +117,74 @@ def test_symmetric_det_matches_row_pivoted_det_at_order_40():
     d = det(qt)
     assert det(rotated) == -d
     assert d == skeleton1_dim_complete(40, 3, 2)
+
+
+def spy_on_pivot_pair(monkeypatch):
+    """(k, the block as the kernel got it, q) for each `_pivot_pair` call."""
+    calls = []
+    kernel = exact_linalg._pivot_pair
+
+    def spy(a, k, prev):
+        block = [row[:] for row in a]
+        q = kernel(a, k, prev)
+        calls.append((k, block, q))
+        return q
+
+    monkeypatch.setattr(exact_linalg, "_pivot_pair", spy)
+    return calls
+
+
+def test_det_swaps_in_a_second_pivot(monkeypatch):
+    # after one step on a_00 the diagonal is (0, 2): row and column 2
+    # move to position 1 before the pass
+    m = matrix([[1, 1, 0], [1, 1, 1], [0, 1, 2]])
+    calls = spy_on_pivot_pair(monkeypatch)
+    assert det(m) == det_cofactor(m) == -1
+    assert [(k, block) for k, block, _ in calls] == [(0, [[1, 0, 1], [0, 2, 1], [1, 1, 1]])]
+    assert calls[0][2] == 2
+    assert psd_det(m) is None and not psd_by_char_poly(m)  # its row after one step is (0, 1)
+
+
+def test_det_breaks_to_row_pivots_without_a_second_pivot(monkeypatch):
+    # after one step on a_00 the diagonal is (0, 0), so the row-pivoted
+    # phase takes a_00 and finishes
+    m = matrix([[1, 1, 1], [1, 1, 2], [1, 2, 1]])
+    calls = spy_on_pivot_pair(monkeypatch)
+    assert det(m) == det_cofactor(m) == -1
+    assert calls == []
+
+
+def test_psd_det_rejects_a_zero_diagonal_after_one_step_with_a_nonzero_row(monkeypatch):
+    # after one step on a_00 the diagonal is (0, 1) and row 1 is (0, -1)
+    m = matrix([[1, 1, 1], [1, 1, 0], [1, 0, 2]])
+    calls = spy_on_pivot_pair(monkeypatch)
+    assert psd_det(m) is None and not psd_by_char_poly(m) and not is_psd(m)
+    assert calls == []
+    assert det(m) == det_cofactor(m) == -1
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_pivot_pairs_at_odd_and_even_orders(monkeypatch, n):
+    # positive definite, so every pivot is a diagonal one: n // 2 passes,
+    # and at odd n the last entry after them is the determinant
+    calls = spy_on_pivot_pair(monkeypatch)
+    for s in range(10):
+        qt = laplacians(random_multigraph(n, 3, s)).qtilde
+        assert psd_by_char_poly(qt)
+        for route in (det, psd_det):
+            del calls[:]
+            assert route(qt) == det_cofactor(qt)
+            assert [k for k, _, _ in calls] == list(range(0, n - 1, 2))
+
+
+def test_symmetric_phase_of_order_40_is_all_pivot_pairs(monkeypatch):
+    # Q~(K_41): 20 passes cover all 40 indices, so no row-pivoted step
+    # runs, and the last pass's second pivot is the determinant
+    qt = laplacians(complete_multigraph(40, 1, 1)).qtilde
+    calls = spy_on_pivot_pair(monkeypatch)
+    d = det(qt)
+    assert [k for k, _, _ in calls] == list(range(0, 40, 2))
+    assert d == calls[-1][2] == skeleton1_dim_complete(40, 1, 1)
 
 
 def test_cofactor_guard():

@@ -42,6 +42,18 @@ def test_poly_examples():
     assert steck_count((3, 2, 2)) == 20
 
 
+def test_flat_parking_count_at_zero_and_outside_its_domain():
+    # at x = 0 only the zero vector fits below (1,) and nothing below (1, 0, ...)
+    assert flat_parking_count(1, 0) == 1
+    assert [flat_parking_count(l, 0) for l in range(2, 6)] == [0] * 4
+    # the polynomial gives 4 and -1 here, but no vector fits below a negative entry
+    for l, x in [(3, -2), (2, -1), (1, -1)]:
+        with pytest.raises(FormulaDomainError, match=f"x must be >= 0, got {x}"):
+            flat_parking_count(l, x)
+    with pytest.raises(FormulaDomainError, match="l must be >= 1, got 0"):
+        flat_parking_count(0, 3)
+
+
 @pytest.mark.parametrize("n", [*range(1, 6), 12, 20])
 @pytest.mark.parametrize("b", range(1, 4))
 @pytest.mark.parametrize("x", range(1, 4))
