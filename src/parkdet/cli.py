@@ -152,13 +152,9 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("verify", parents=[common], help="run a verification suite")
     p.add_argument("suite", choices=sorted(suites_mod.SUITES) + ["all"])
-    p.add_argument("--seed", type=_seed, default=None)
-    p.add_argument("--n", "--n-max", dest="n_max", type=_int_flag, default=None)
-    p.add_argument("--a-max", type=_int_flag, default=None)
-    p.add_argument("--b-max", type=_int_flag, default=None)
-    p.add_argument("--mult-max", type=_int_flag, default=None)
-    p.add_argument("--entry-max", type=_int_flag, default=None)
-    p.add_argument("--trials", type=_int_flag, default=None)
+    for param in _verify_params():
+        flags = ("--n", "--n-max") if param == "n_max" else (_flag(param),)
+        p.add_argument(*flags, dest=param, type=_seed if param == "seed" else _int_flag, default=None)
     p.add_argument("--format", choices=["json", "csv", "text"], default="json")
     p.set_defaults(func=_cmd_verify)
 
@@ -283,6 +279,12 @@ def _flag(param: str) -> str:
     return "--" + param.replace("_", "-")
 
 
+def _verify_params() -> dict[str, None]:
+    """Every suite parameter, in the order the suites declare them: one
+    verify flag each."""
+    return dict.fromkeys(p for params in suites_mod.MINIMUMS.values() for p in params)
+
+
 def _suite_kwargs(names: list[str], args) -> list[dict]:
     """Keyword arguments for each named suite: the verify flags it takes,
     the keys of its `suites.MINIMUMS`, each checked against its minimum
@@ -290,8 +292,7 @@ def _suite_kwargs(names: list[str], args) -> list[dict]:
     --seed included (recurrence is exhaustive and takes none). A flag left
     out is not passed, so each suite runs with its own default."""
     minimums = suites_mod.MINIMUMS
-    given = {p: v for params in minimums.values() for p in params
-             if (v := getattr(args, p, None)) is not None}
+    given = {p: v for p in _verify_params() if (v := getattr(args, p)) is not None}
     out = []
     for name in names:
         kwargs = {p: v for p, v in given.items() if p in minimums[name]}

@@ -10,23 +10,25 @@ positive diagonal pivots, never from floating-point eigenvalues. No
 floats appear anywhere.
 
 On a symmetric matrix, `det` and `psd_det` (which `is_psd` falls back on) run
-the same in-place kernel, `_pivot_pair`: symmetric swaps bring two
-diagonal pivots to (k, k) and (k+1, k+1), and one pass over the trailing
-block takes both Bareiss steps, updating every later row in its upper
-triangle only, then mirroring it. Each swap conjugates by a permutation
-matrix P, and det(P A P^T) = det(P)^2 det(A) = det(A). The trailing
-block stays symmetric, and after pivoting on the principal set S each of
-its entries (i, j) is the bordered minor det A[S+i, S+j] (Sylvester's
-identity). A pass's quotient is exactly what two single steps would
-give, so its numerator is that integer times prev*p, the product of the
-two divisors of the single steps, and every `//` is exact (Bareiss,
-Math. Comp. 22, 1968). The second pivot is chosen before the block is
-touched, from the diagonal after one step, (a_tt*p - a_kt^2) // prev for
-t > k, which costs O(n). An all-zero row gives all-zero rows under a
-step, so it needs no bookkeeping. When no nonzero pivot is left, `det`
-hands this state to Bareiss's row-pivoted elimination, which also runs
-all of non-symmetric input. `char_poly` and `det_cofactor` share no code
-with `psd_det` and `det`, so the tests use them as independent routes.
+the same in-place kernel, `_pivot_pair`: one pass over the trailing block
+takes two Bareiss steps, on the diagonal pivots at (k, k) and
+(k+1, k+1), updating every later row in its upper triangle only, then
+mirroring it. The trailing block stays symmetric, and after pivoting on
+the principal set S each of its entries (i, j) is the bordered minor
+det A[S+i, S+j] (Sylvester's identity). A pass's quotient is exactly
+what two single steps would give, so its numerator is that integer times
+prev*p, the product of the two divisors of the single steps, and every
+`//` is exact (Bareiss, Math. Comp. 22, 1968). The second pivot is read
+before the block is touched, from the diagonal after one step,
+(a_tt*p - a_kt^2) // prev, which costs O(1) for `det`'s t = k+1 and O(n)
+for `psd_det`'s search over t > k. `psd_det` brings its pivots to (k, k)
+and (k+1, k+1) by symmetric swaps; each conjugates by a permutation
+matrix P, and det(P A P^T) = det(P)^2 det(A) = det(A). An all-zero row
+gives all-zero rows under a step, so it needs no bookkeeping. `det` pivots
+in place, and when either pivot is zero it hands this state to Bareiss's
+row-pivoted elimination, which also runs all of non-symmetric input.
+`char_poly` and `det_cofactor` share no code with `psd_det` and `det`,
+so the tests use them as independent routes.
 """
 
 from __future__ import annotations
@@ -169,18 +171,14 @@ def det(m: IntMatrix) -> int:
     """Exact determinant by Bareiss fraction-free elimination. Every
     division is exact, so the result is a certificate.
 
-    On symmetric input, `_pivot_pair` takes two diagonal pivots per pass
-    while it finds them: the first nonzero diagonal entry of the trailing
-    block is swapped to (k, k), and then the first t > k, trying k+1
-    first, whose diagonal entry after one step, (a_tt*p - a_kt^2) // prev,
-    is nonzero is swapped to (k+1, k+1). Row-pivoted elimination finishes
-    (all of it on non-symmetric input), from k when no first pivot is
-    left, or when no second one is, with a_kk as its first pivot. The
-    handoff is exact: each swap conjugates by a permutation, so the
-    trailing block is the Bareiss state of P A P^T, whose determinant is
-    det(A), and `_pivot_pair` has written both of its triangles. A zero
-    column gives 0; otherwise the last pivot, times the sign of the row
-    swaps, is the determinant.
+    On symmetric input, `_pivot_pair` takes two diagonal pivots per pass,
+    in place, while both are nonzero: a_kk, and a_{k+1,k+1} after one
+    step, which is nonzero iff a_{k+1,k+1}*a_kk != a_{k+1,k}^2.
+    Row-pivoted elimination finishes from the first k where either is
+    zero (all of it on non-symmetric input). The handoff is exact: the
+    trailing block is the Bareiss state of A, and `_pivot_pair` has
+    written both of its triangles. A zero column gives 0; otherwise the
+    last pivot, times the sign of the row swaps, is the determinant.
     """
     n = m.order
     if n == 0:
@@ -188,19 +186,7 @@ def det(m: IntMatrix) -> int:
     a = [list(row) for row in m.rows]
     k, prev = 0, 1
     if m.is_symmetric():
-        while k < n - 1:
-            s = k if a[k][k] else next((s for s in range(k + 1, n) if a[s][s]), None)
-            if s is None:
-                break
-            if s != k:
-                _swap(a, k, s)
-            p = a[k][k]
-            f = a[k + 1][k]
-            if a[k + 1][k + 1] * p == f * f:
-                t = next((t for t in range(k + 2, n) if a[t][t] * p != a[t][k] * a[t][k]), None)
-                if t is None:
-                    break
-                _swap(a, k + 1, t)
+        while k < n - 1 and a[k][k] and a[k + 1][k + 1] * a[k][k] != a[k + 1][k] ** 2:
             prev = _pivot_pair(a, k, prev)
             k += 2
     sign = 1
@@ -315,7 +301,7 @@ def psd_det(m: IntMatrix) -> int | None:
     the Schur complement A/a_ss, with p, prev > 0, and for a_ss > 0 the
     matrix A is PSD iff A/a_ss is. The symmetric swap conjugates by a
     permutation, which keeps PSD-ness and the determinant, so when every
-    step finds a pivot the last one is det(P A P^T) = det(A), as in `det`.
+    step finds a pivot the last one is det(P A P^T) = det(A).
     """
     if not m.is_symmetric():
         raise ValueError("the PSD test requires a symmetric matrix")

@@ -68,7 +68,7 @@ def flat_parking_count(l: int, x: int) -> int:
         raise FormulaDomainError(f"l must be >= 1, got {l}")
     if x < 0:
         raise FormulaDomainError(f"x must be >= 0, got {x}")
-    return x ** (l - 1) * (x + l)
+    return _theta(l, x)
 
 
 def parking_dim_complete(n: int, a: int, b: int) -> int:

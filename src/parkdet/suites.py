@@ -58,6 +58,7 @@ from .multigraph import (
 )
 from .rng import SplitMix64
 from .standard_count import (
+    ENUMERATION_GUARD,
     IE_GENERATOR_GUARD,
     NonArtinianError,
     count_standard,
@@ -258,45 +259,51 @@ def _random_dominant_psd(rng: SplitMix64, n: int, entry_max: int,
 
 SUITES: dict[str, Callable[..., Report]] = {}
 # Each suite's parameters, seed included, with the smallest value it accepts
-# for each: the CLI hands a suite these verify flags, checked before any runs.
+# for each, as `_suite` declares them: the CLI makes a verify flag for each
+# and hands a suite its own, checked before any runs.
 MINIMUMS: dict[str, dict[str, int]] = {}
 
 
-def _suite(name: str, **minimums: int):
-    """Register a suite under `name`, with the smallest value it accepts for
-    each parameter, and time each run into the report's elapsed_ms."""
+def _suite(name: str, **params: tuple[int, int]):
+    """Register a suite under `name`, declaring each of its parameters, seed
+    included, once as (default, minimum). A run fills in the defaults,
+    builds the report (its params are the values without seed, its seed is
+    0 for a suite without one), hands it to the suite with the values, and
+    times the suite into its elapsed_ms. An unknown keyword raises
+    TypeError from the suite's own signature."""
+    defaults = {p: default for p, (default, _) in params.items()}
+    MINIMUMS[name] = {p: minimum for p, (_, minimum) in params.items()}
+
     def register(fn):
         @functools.wraps(fn)
-        def run(*args, **kwargs) -> Report:
+        def run(**kwargs) -> Report:
             started = time.monotonic()
-            report = fn(*args, **kwargs)
+            values = {**defaults, **kwargs}
+            report = Report(name, {p: v for p, v in values.items() if p != "seed"}, values.get("seed", 0))
+            fn(report, **values)
             report.elapsed_ms = int((time.monotonic() - started) * 1000)
             return report
         SUITES[name] = run
-        MINIMUMS[name] = minimums
         return run
     return register
 
 
-@_suite("matrix-tree", seed=0)
-def suite_matrix_tree(seed: int = 0) -> Report:
+@_suite("matrix-tree", seed=(0, 0))
+def suite_matrix_tree(report: Report, seed: int):
     """Quotient dimension of the full parking ideal vs the truncated
     Laplacian determinant (the spanning-tree count)."""
     graphs = default_graph_corpus(seed)
-    report = Report("matrix-tree", {"graphs": len(graphs)}, seed)
+    report.params = {"graphs": len(graphs)}
     for label, g, known in graphs:
         _count_vs_det(report, _graph_instance(g, label), parking_ideal(g),
                       det(laplacians(g).ltilde), known)
-    return report
 
 
-@_suite("rc", n_max=1, a_max=1, b_max=1, trials=0, seed=0)
-def suite_rc(n_max: int = 5, a_max: int = 3, b_max: int = 3,
-             trials: int = 100, seed: int = 0) -> Report:
+@_suite("rc", n_max=(5, 1), a_max=(3, 1), b_max=(3, 1), trials=(100, 0), seed=(0, 0))
+def suite_rc(report: Report, n_max: int, a_max: int, b_max: int, trials: int, seed: int):
     """Dimension = determinant for root-deleted complete multigraphs:
     an exhaustive simple-graph grid checked three ways against the closed
     form, then seeded random root deletions."""
-    report = Report("rc", {"n_max": n_max, "a_max": a_max, "b_max": b_max, "trials": trials}, seed)
     for n in range(2, n_max + 1):
         for r in range(0, n + 1):
             g = complete_minus_root_edges(n, r)
@@ -310,14 +317,12 @@ def suite_rc(n_max: int = 5, a_max: int = 3, b_max: int = 3,
         g = random_root_deletion(n, a, b, rng.next_u64())
         inst = _graph_instance(g, f"root-deletion n={n} a={a} b={b}")
         _count_vs_det(report, inst, _skel1(g), det(laplacians(g).qtilde))
-    return report
 
 
-@_suite("ineq", n_max=1, mult_max=1, trials=0, seed=0)
-def suite_ineq(n_max: int = 5, mult_max: int = 3, trials: int = 200, seed: int = 0) -> Report:
+@_suite("ineq", n_max=(5, 1), mult_max=(3, 1), trials=(200, 0), seed=(0, 0))
+def suite_ineq(report: Report, n_max: int, mult_max: int, trials: int, seed: int):
     """Dimension >= determinant for arbitrary multigraphs, with the path
     on four vertices as a deterministic strict-inequality witness."""
-    report = Report("ineq", {"n_max": n_max, "mult_max": mult_max, "trials": trials}, seed)
     p4 = path_graph(3)
     _count_vs_det(report, _graph_instance(p4, "P4"), _skel1(p4), det(laplacians(p4).qtilde), relation="geq")
     rng = SplitMix64(seed)
@@ -326,28 +331,24 @@ def suite_ineq(n_max: int = 5, mult_max: int = 3, trials: int = 200, seed: int =
         g = random_multigraph(n, mult_max, rng.next_u64())
         _count_vs_det(report, _graph_instance(g, f"random n={n}"), _skel1(g), det(laplacians(g).qtilde),
                       relation="geq")
-    return report
 
 
-@_suite("mt", n_max=1, entry_max=1, trials=1, seed=0)
-def suite_mt(n_max: int = 5, entry_max: int = 6, trials: int = 100, seed: int = 0) -> Report:
+@_suite("mt", n_max=(5, 1), entry_max=(6, 1), trials=(100, 1), seed=(0, 0))
+def suite_mt(report: Report, n_max: int, entry_max: int, trials: int, seed: int):
     """Dimension >= determinant for exactly-certified PSD matrices in the
     dominant class."""
-    report = Report("mt", {"n_max": n_max, "entry_max": entry_max, "trials": trials}, seed)
     rng = SplitMix64(seed)
     for _ in range(trials):
         n = rng.randint(1, n_max)
         h, det_h, attempts, strat = _random_dominant_psd(rng, n, entry_max)
         inst = _matrix_instance(h, f"psd n={n}", strategy=strat, attempts=attempts)
         _count_vs_det(report, inst, matrix_skeleton_ideal(h), det_h, relation="geq")
-    return report
 
 
-@_suite("recurrence", n_max=1, a_max=2)
-def suite_recurrence(n_max: int = 5, a_max: int = 5) -> Report:
+@_suite("recurrence", n_max=(5, 1), a_max=(5, 2))
+def suite_recurrence(report: Report, n_max: int, a_max: int):
     """Exhaustive colon identity and dimension recurrence for the
     step-weight family, three-way against the alternating-sum closed form."""
-    report = Report("recurrence", {"n_max": n_max, "a_max": a_max}, 0)
     # every step-weight ideal the checks need, built and counted once
     ideals = {(n, r, a): step_weight_ideal(n, r, a)
               for n in range(n_max + 1) for r in range(n + 1) for a in range(2, a_max + 1)}
@@ -363,7 +364,6 @@ def suite_recurrence(n_max: int = 5, a_max: int = 5) -> Report:
                 inst = {"label": f"recurrence n={n} r={r} a={a}", "n": n, "r": r, "a": a, "check": "recurrence"}
                 report.add(inst, dims[n, r, a], dims[n, r - 1, a] - dims[n - 1, r - 1, a],
                            step_weight_dim(n, r, a))
-    return report
 
 
 def _find_pivot_permutation(h: IntMatrix) -> tuple[IntMatrix, int, int]:
@@ -390,8 +390,8 @@ def _find_pivot_permutation(h: IntMatrix) -> tuple[IntMatrix, int, int]:
     return principal_submatrix(h, perm), r, b
 
 
-@_suite("decomp", trials=1, seed=0)
-def suite_decomp(trials: int = 50, seed: int = 0) -> Report:
+@_suite("decomp", trials=(50, 1), seed=(0, 0))
+def suite_decomp(report: Report, trials: int, seed: int):
     """Determinant and dimension splitting identities.
 
     Per graph instance (root-deleted complete multigraph with a chosen
@@ -407,7 +407,6 @@ def suite_decomp(trials: int = 50, seed: int = 0) -> Report:
           where H1 is the leading principal block through r with b at the
           pivot.
     """
-    report = Report("decomp", {"trials": trials}, seed)
     rng = SplitMix64(seed)
     checked = 0
     attempts = 0
@@ -456,7 +455,6 @@ def suite_decomp(trials: int = 50, seed: int = 0) -> Report:
         dim_rhs = (tail * count_standard(matrix_skeleton_ideal(h1))
                    + (alpha - b) * count_standard(matrix_skeleton_ideal(h2)))
         report.add({**base, "identity": "d", "r": r, "b": b}, dim_lhs, dim_rhs)
-    return report
 
 
 def _shuffled(rng: SplitMix64, items: list) -> list:
@@ -467,13 +465,12 @@ def _shuffled(rng: SplitMix64, items: list) -> list:
     return out
 
 
-@_suite("properties", seed=0)
-def suite_properties(seed: int = 0) -> Report:
+@_suite("properties", seed=(0, 0))
+def suite_properties(report: Report, seed: int):
     """Cross-cutting consistency checks on a deterministic corpus:
     agreement of the three counting routes, Hadamard and Fischer bounds
     on PSD matrices, permutation invariance of dimensions and
     determinants, and skeleton monotonicity."""
-    report = Report("properties", {}, seed)
     corpus = default_graph_corpus(seed)
     rng = SplitMix64(seed)
 
@@ -493,7 +490,7 @@ def suite_properties(seed: int = 0) -> Report:
                 "generators": [list(g) for g in ideal.gens]}
         if len(ideal.gens) <= IE_GENERATOR_GUARD:
             report.add({**inst, "oracle": "inclusion-exclusion"}, dim, count_standard_ie(ideal))
-        if dim <= 100000:
+        if dim <= ENUMERATION_GUARD:
             report.add({**inst, "oracle": "enumeration"}, dim, len(enumerate_standard(ideal)))
 
     psd_matrices: list[tuple[str, IntMatrix]] = []
@@ -539,5 +536,3 @@ def suite_properties(seed: int = 0) -> Report:
         for k in range(g.n - 1):
             inst = {"label": f"monotone {label} k={k}", "check": "skeleton-monotonicity"}
             report.add(inst, counts[k], counts[k + 1], relation="geq")
-
-    return report

@@ -166,6 +166,26 @@ def test_properties_suite_follows_the_inclusion_exclusion_guard(monkeypatch):
     assert ie_instances(lowered) == [inst for inst in full if len(inst["generators"]) <= guard]
 
 
+def test_properties_suite_follows_the_enumeration_guard(monkeypatch):
+    # lowering the guard drops the enumeration trials above it instead of
+    # making the enumerator raise inside the suite
+    import parkdet.standard_count
+    import parkdet.suites
+
+    def enumerated(report):
+        return [(t.instance, t.dim) for t in report.trials if t.instance.get("oracle") == "enumeration"]
+
+    full = enumerated(suite_properties())
+    dims = sorted(dim for _, dim in full)
+    guard = dims[len(dims) // 2]
+    assert dims[0] <= guard < dims[-1]
+    monkeypatch.setattr(parkdet.standard_count, "ENUMERATION_GUARD", guard)
+    monkeypatch.setattr(parkdet.suites, "ENUMERATION_GUARD", guard)
+    lowered = suite_properties()
+    assert lowered.exit_code == 0
+    assert enumerated(lowered) == [(inst, dim) for inst, dim in full if dim <= guard]
+
+
 def test_reports_deterministic():
     def strip(report):
         d = report.to_dict()
