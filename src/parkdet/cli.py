@@ -310,9 +310,6 @@ def _cmd_verify(args) -> int:
     names = sorted(suites_mod.SUITES) if args.suite == "all" else [args.suite]
     kwargs = _suite_kwargs(names, args)
     reports = [suites_mod.SUITES[name](**kw) for name, kw in zip(names, kwargs)]
-    for r in reports:
-        if not r.trials:
-            raise ValueError(f"suite {r.suite} ran 0 trials")
     _write_out(render_reports(reports, args.format), args.out)
     return max(r.exit_code for r in reports)
 

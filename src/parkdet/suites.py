@@ -1,15 +1,23 @@
 """Named verification suites with seeded instance generation and
 structured, replayable reports.
 
-Every suite is deterministic given (parameters, seed). Each trial
-records the instance, the two quantities compared (in the `dim` and
-`det` slots), an optional third closed-form value, the relation tested
-and a pass flag; any failing trial flips the report's exit code to 2.
-A failing inequality trial would be a counterexample to the
+Every suite is a generator, deterministic given (parameters, seed),
+that yields each trial as the arguments of `Report.add`: the instance,
+the two quantities compared (`dim`, `det`), then optionally a third
+closed-form value, the relation tested and a pass flag. The runner
+`_suite` registers adds them; any failing trial flips the report's exit
+code to 2. A failing inequality trial would be a counterexample to the
 dimension-determinant conjecture and is reported with the full instance
-for replay. Trials that cannot be run on an instance (no root edge) are
-recorded as skipped, not failed. Reports are data; `cli.render_reports`
-writes them as JSON, CSV or text.
+for replay. A trial that cannot be run on an instance (no root edge) is
+yielded as skipped, 0 vs 0 and passed. Reports are data;
+`cli.render_reports` writes them as JSON, CSV or text.
+
+No count raises `NonArtinianError`: every ideal a suite counts is the
+unit ideal or holds a pure power of each variable (x_v^deg(v) = m_{v} in
+a skeleton ideal, x_l^h_ll in J_H; a connected graph's parking ideal has
+a finite quotient, a disconnected one's is the unit ideal; likewise the
+colon, step-weight and lambda ideals). Were one raised, it is a
+ValueError, which the CLI turns into exit 1.
 """
 
 from __future__ import annotations
@@ -60,7 +68,6 @@ from .rng import SplitMix64
 from .standard_count import (
     ENUMERATION_GUARD,
     IE_GENERATOR_GUARD,
-    NonArtinianError,
     count_standard,
     count_standard_ie,
     enumerate_standard,
@@ -125,10 +132,6 @@ class Report:
                 passed = dim >= det
         self.trials.append(Trial(len(self.trials), instance, dim, det, formula, relation, passed))
 
-    def skip(self, instance: dict, reason: str):
-        """Append a trial that could not be run on `instance`; it passes."""
-        self.add({**instance, "skipped": reason}, 0, 0, passed=True)
-
     @property
     def exit_code(self) -> int:
         return 0 if not self.failed else 2
@@ -147,9 +150,9 @@ class Report:
         }
 
 
-def _skel1(g: Multigraph) -> MonomialIdeal:
+def _skel1_dim(g: Multigraph) -> int:
     # for a single non-root vertex the 1-skeleton is already the full ideal
-    return skeleton_ideal(g, min(1, g.n - 1))
+    return count_standard(skeleton_ideal(g, min(1, g.n - 1)))
 
 
 def _graph_instance(g: Multigraph, label: str = "", **extra) -> dict:
@@ -162,19 +165,6 @@ def _matrix_instance(h: IntMatrix, label: str = "", **extra) -> dict:
     inst = {"label": label, "n": h.order, "rows": [list(row) for row in h.rows]}
     inst.update(extra)
     return inst
-
-
-def _count_vs_det(report: Report, inst: dict, ideal: MonomialIdeal, det_h: int,
-                  formula: int | None = None, relation: str = "eq"):
-    """Add a trial comparing the quotient dimension of `ideal` with the
-    determinant `det_h`. A non-Artinian ideal is recorded as a failed
-    trial carrying the error."""
-    try:
-        dim = count_standard(ideal)
-    except NonArtinianError as exc:
-        report.add({**inst, "error": str(exc)}, 0, 0, relation=relation, passed=False)
-        return
-    report.add(inst, dim, det_h, formula, relation)
 
 
 # --- instance corpora --------------------------------------------------------
@@ -265,12 +255,14 @@ MINIMUMS: dict[str, dict[str, int]] = {}
 
 
 def _suite(name: str, **params: tuple[int, int]):
-    """Register a suite under `name`, declaring each of its parameters, seed
-    included, once as (default, minimum). A run fills in the defaults,
-    builds the report (its params are the values without seed, its seed is
-    0 for a suite without one), hands it to the suite with the values, and
-    times the suite into its elapsed_ms. An unknown keyword raises
-    TypeError from the suite's own signature."""
+    """Register a generator as the suite `name`, declaring each of its
+    parameters, seed included, once as (default, minimum). A run fills in
+    the defaults, builds the report (its params are the values without
+    seed, its seed is 0 for a suite without one), calls
+    `report.add(*trial)` for each trial the suite yields, takes a returned
+    value other than None as the params, and times the run into
+    elapsed_ms. No trial at all raises ValueError naming the suite; what
+    the suite raises propagates, an unknown keyword as TypeError."""
     defaults = {p: default for p, (default, _) in params.items()}
     MINIMUMS[name] = {p: minimum for p, (_, minimum) in params.items()}
 
@@ -280,7 +272,15 @@ def _suite(name: str, **params: tuple[int, int]):
             started = time.monotonic()
             values = {**defaults, **kwargs}
             report = Report(name, {p: v for p, v in values.items() if p != "seed"}, values.get("seed", 0))
-            fn(report, **values)
+            trials = fn(**values)
+            try:
+                while True:
+                    report.add(*next(trials))
+            except StopIteration as done:
+                if done.value is not None:
+                    report.params = done.value
+            if not report.trials:
+                raise ValueError(f"suite {name} ran 0 trials")
             report.elapsed_ms = int((time.monotonic() - started) * 1000)
             return report
         SUITES[name] = run
@@ -289,26 +289,26 @@ def _suite(name: str, **params: tuple[int, int]):
 
 
 @_suite("matrix-tree", seed=(0, 0))
-def suite_matrix_tree(report: Report, seed: int):
+def suite_matrix_tree(seed: int):
     """Quotient dimension of the full parking ideal vs the truncated
-    Laplacian determinant (the spanning-tree count)."""
+    Laplacian determinant (the spanning-tree count). The report's params
+    are the corpus size."""
     graphs = default_graph_corpus(seed)
-    report.params = {"graphs": len(graphs)}
     for label, g, known in graphs:
-        _count_vs_det(report, _graph_instance(g, label), parking_ideal(g),
-                      det(laplacians(g).ltilde), known)
+        yield _graph_instance(g, label), count_standard(parking_ideal(g)), det(laplacians(g).ltilde), known
+    return {"graphs": len(graphs)}
 
 
 @_suite("rc", n_max=(5, 1), a_max=(3, 1), b_max=(3, 1), trials=(100, 0), seed=(0, 0))
-def suite_rc(report: Report, n_max: int, a_max: int, b_max: int, trials: int, seed: int):
+def suite_rc(n_max: int, a_max: int, b_max: int, trials: int, seed: int):
     """Dimension = determinant for root-deleted complete multigraphs:
     an exhaustive simple-graph grid checked three ways against the closed
     form, then seeded random root deletions."""
     for n in range(2, n_max + 1):
         for r in range(0, n + 1):
             g = complete_minus_root_edges(n, r)
-            _count_vs_det(report, _graph_instance(g, f"grid n={n} r={r}"), _skel1(g),
-                          det(laplacians(g).qtilde), root_deleted_signless_det(n, r))
+            yield (_graph_instance(g, f"grid n={n} r={r}"), _skel1_dim(g),
+                   det(laplacians(g).qtilde), root_deleted_signless_det(n, r))
     rng = SplitMix64(seed)
     for _ in range(trials):
         n = rng.randint(1, n_max)
@@ -316,25 +316,24 @@ def suite_rc(report: Report, n_max: int, a_max: int, b_max: int, trials: int, se
         b = rng.randint(1, b_max)
         g = random_root_deletion(n, a, b, rng.next_u64())
         inst = _graph_instance(g, f"root-deletion n={n} a={a} b={b}")
-        _count_vs_det(report, inst, _skel1(g), det(laplacians(g).qtilde))
+        yield inst, _skel1_dim(g), det(laplacians(g).qtilde)
 
 
 @_suite("ineq", n_max=(5, 1), mult_max=(3, 1), trials=(200, 0), seed=(0, 0))
-def suite_ineq(report: Report, n_max: int, mult_max: int, trials: int, seed: int):
+def suite_ineq(n_max: int, mult_max: int, trials: int, seed: int):
     """Dimension >= determinant for arbitrary multigraphs, with the path
     on four vertices as a deterministic strict-inequality witness."""
     p4 = path_graph(3)
-    _count_vs_det(report, _graph_instance(p4, "P4"), _skel1(p4), det(laplacians(p4).qtilde), relation="geq")
+    yield _graph_instance(p4, "P4"), _skel1_dim(p4), det(laplacians(p4).qtilde), None, "geq"
     rng = SplitMix64(seed)
     for _ in range(trials):
         n = rng.randint(1, n_max)
         g = random_multigraph(n, mult_max, rng.next_u64())
-        _count_vs_det(report, _graph_instance(g, f"random n={n}"), _skel1(g), det(laplacians(g).qtilde),
-                      relation="geq")
+        yield _graph_instance(g, f"random n={n}"), _skel1_dim(g), det(laplacians(g).qtilde), None, "geq"
 
 
 @_suite("mt", n_max=(5, 1), entry_max=(6, 1), trials=(100, 1), seed=(0, 0))
-def suite_mt(report: Report, n_max: int, entry_max: int, trials: int, seed: int):
+def suite_mt(n_max: int, entry_max: int, trials: int, seed: int):
     """Dimension >= determinant for exactly-certified PSD matrices in the
     dominant class."""
     rng = SplitMix64(seed)
@@ -342,11 +341,11 @@ def suite_mt(report: Report, n_max: int, entry_max: int, trials: int, seed: int)
         n = rng.randint(1, n_max)
         h, det_h, attempts, strat = _random_dominant_psd(rng, n, entry_max)
         inst = _matrix_instance(h, f"psd n={n}", strategy=strat, attempts=attempts)
-        _count_vs_det(report, inst, matrix_skeleton_ideal(h), det_h, relation="geq")
+        yield inst, count_standard(matrix_skeleton_ideal(h)), det_h, None, "geq"
 
 
 @_suite("recurrence", n_max=(5, 1), a_max=(5, 2))
-def suite_recurrence(report: Report, n_max: int, a_max: int):
+def suite_recurrence(n_max: int, a_max: int):
     """Exhaustive colon identity and dimension recurrence for the
     step-weight family, three-way against the alternating-sum closed form."""
     # every step-weight ideal the checks need, built and counted once
@@ -360,10 +359,9 @@ def suite_recurrence(report: Report, n_max: int, a_max: int):
                 x[n - r] = 1  # variable index n-r+1, 1-based
                 quot = colon(ideals[n, r - 1, a], tuple(x))
                 inst = {"label": f"colon n={n} r={r} a={a}", "n": n, "r": r, "a": a, "check": "colon"}
-                report.add(inst, count_standard(quot), dims[n, r, a], passed=quot == ideals[n, r, a])
+                yield inst, count_standard(quot), dims[n, r, a], None, "eq", quot == ideals[n, r, a]
                 inst = {"label": f"recurrence n={n} r={r} a={a}", "n": n, "r": r, "a": a, "check": "recurrence"}
-                report.add(inst, dims[n, r, a], dims[n, r - 1, a] - dims[n - 1, r - 1, a],
-                           step_weight_dim(n, r, a))
+                yield inst, dims[n, r, a], dims[n, r - 1, a] - dims[n - 1, r - 1, a], step_weight_dim(n, r, a)
 
 
 def _find_pivot_permutation(h: IntMatrix) -> tuple[IntMatrix, int, int]:
@@ -391,7 +389,7 @@ def _find_pivot_permutation(h: IntMatrix) -> tuple[IntMatrix, int, int]:
 
 
 @_suite("decomp", trials=(50, 1), seed=(0, 0))
-def suite_decomp(report: Report, trials: int, seed: int):
+def suite_decomp(trials: int, seed: int):
     """Determinant and dimension splitting identities.
 
     Per graph instance (root-deleted complete multigraph with a chosen
@@ -419,10 +417,10 @@ def suite_decomp(report: Report, trials: int, seed: int):
         base = _graph_instance(g, f"split n={n} a={a} b={b}")
         rooted = [j for j in range(1, n + 1) if g.adj[0][j] > 0]
         if not rooted:
-            # record the skip, then draw a replacement so every identity
+            # yield the skips, then draw a replacement so every identity
             # still gets `trials` checked instances
-            report.skip({**base, "identity": "a"}, "no root edge")
-            report.skip({**base, "identity": "b"}, "no root edge")
+            for identity in "ab":
+                yield {**base, "identity": identity, "skipped": "no root edge"}, 0, 0, None, "eq", True
             continue
         checked += 1
         j = rng.choice(rooted)
@@ -430,10 +428,8 @@ def suite_decomp(report: Report, trials: int, seed: int):
         g2 = merge_into_root(g, j)
         lhs = det(laplacians(g).qtilde)
         rhs = det(laplacians(g1).qtilde) + det(laplacians(g2).qtilde)
-        report.add({**base, "identity": "a", "j": j}, lhs, rhs)
-        dim_lhs = count_standard(_skel1(g))
-        dim_rhs = count_standard(_skel1(g1)) + count_standard(_skel1(g2))
-        report.add({**base, "identity": "b", "j": j}, dim_lhs, dim_rhs)
+        yield {**base, "identity": "a", "j": j}, lhs, rhs
+        yield {**base, "identity": "b", "j": j}, _skel1_dim(g), _skel1_dim(g1) + _skel1_dim(g2)
 
     for _ in range(trials):
         n = rng.randint(2, 5)
@@ -448,13 +444,13 @@ def suite_decomp(report: Report, trials: int, seed: int):
         t = matrix(t_rows)
         lhs = det(hp)
         rhs = (alpha - b) * det(h2) + det(t)
-        report.add({**base, "identity": "c", "r": r, "b": b}, lhs, rhs)
+        yield {**base, "identity": "c", "r": r, "b": b}, lhs, rhs
         h1 = principal_submatrix(t, range(r + 1))
         tail = prod(hp[l][l] - b for l in range(r + 1, n))
         dim_lhs = count_standard(matrix_skeleton_ideal(hp))
         dim_rhs = (tail * count_standard(matrix_skeleton_ideal(h1))
                    + (alpha - b) * count_standard(matrix_skeleton_ideal(h2)))
-        report.add({**base, "identity": "d", "r": r, "b": b}, dim_lhs, dim_rhs)
+        yield {**base, "identity": "d", "r": r, "b": b}, dim_lhs, dim_rhs
 
 
 def _shuffled(rng: SplitMix64, items: list) -> list:
@@ -466,7 +462,7 @@ def _shuffled(rng: SplitMix64, items: list) -> list:
 
 
 @_suite("properties", seed=(0, 0))
-def suite_properties(report: Report, seed: int):
+def suite_properties(seed: int):
     """Cross-cutting consistency checks on a deterministic corpus:
     agreement of the three counting routes, Hadamard and Fischer bounds
     on PSD matrices, permutation invariance of dimensions and
@@ -489,9 +485,9 @@ def suite_properties(report: Report, seed: int):
         inst = {"label": f"oracle {label}", "check": "oracle-agreement", "nvars": ideal.nvars,
                 "generators": [list(g) for g in ideal.gens]}
         if len(ideal.gens) <= IE_GENERATOR_GUARD:
-            report.add({**inst, "oracle": "inclusion-exclusion"}, dim, count_standard_ie(ideal))
+            yield {**inst, "oracle": "inclusion-exclusion"}, dim, count_standard_ie(ideal)
         if dim <= ENUMERATION_GUARD:
-            report.add({**inst, "oracle": "enumeration"}, dim, len(enumerate_standard(ideal)))
+            yield {**inst, "oracle": "enumeration"}, dim, len(enumerate_standard(ideal))
 
     psd_matrices: list[tuple[str, IntMatrix]] = []
     for label, g, _ in corpus:
@@ -508,14 +504,14 @@ def suite_properties(report: Report, seed: int):
                 "rows": [list(r) for r in m.rows]}
         det_m = psd_det(m)
         if det_m is None:
-            report.add({**inst, "error": "expected PSD"}, 0, 0, passed=False)
+            yield {**inst, "error": "expected PSD"}, 0, 0, None, "eq", False
             continue
         diag_prod = prod(m[i][i] for i in range(m.order))
-        report.add({**inst, "bound": "hadamard"}, diag_prod, det_m, relation="geq")
+        yield {**inst, "bound": "hadamard"}, diag_prod, det_m, None, "geq"
         for k in range(1, m.order):
             a = principal_submatrix(m, range(k))
             c = principal_submatrix(m, range(k, m.order))
-            report.add({**inst, "bound": f"fischer-{k}"}, det(a) * det(c), det_m, relation="geq")
+            yield {**inst, "bound": f"fischer-{k}"}, det(a) * det(c), det_m, None, "geq"
 
     for label, g, _ in corpus:
         if g.n < 2:
@@ -523,11 +519,11 @@ def suite_properties(report: Report, seed: int):
         perm = _shuffled(rng, list(range(1, g.n + 1)))
         gp = relabel_vertices(g, perm)
         inst = {"label": f"relabel {label}", "check": "permutation-invariance", "perm": perm}
-        report.add({**inst, "quantity": "skel1-dim"},
-                   count_standard(skeleton_ideal(g, 1)), count_standard(skeleton_ideal(gp, 1)))
+        yield ({**inst, "quantity": "skel1-dim"},
+               count_standard(skeleton_ideal(g, 1)), count_standard(skeleton_ideal(gp, 1)))
         lap, lapp = laplacians(g), laplacians(gp)
-        report.add({**inst, "quantity": "qtilde-det"}, det(lap.qtilde), det(lapp.qtilde))
-        report.add({**inst, "quantity": "ltilde-det"}, det(lap.ltilde), det(lapp.ltilde))
+        yield {**inst, "quantity": "qtilde-det"}, det(lap.qtilde), det(lapp.qtilde)
+        yield {**inst, "quantity": "ltilde-det"}, det(lap.ltilde), det(lapp.ltilde)
 
     for label, g, _ in corpus:
         if g.n < 2 or g.n > 4:
@@ -535,4 +531,4 @@ def suite_properties(report: Report, seed: int):
         counts = [count_standard(skeleton_ideal(g, k)) for k in range(g.n)]
         for k in range(g.n - 1):
             inst = {"label": f"monotone {label} k={k}", "check": "skeleton-monotonicity"}
-            report.add(inst, counts[k], counts[k + 1], relation="geq")
+            yield inst, counts[k], counts[k + 1], None, "geq"

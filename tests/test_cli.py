@@ -4,6 +4,7 @@ import hashlib
 import inspect
 import json
 import re
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -14,6 +15,8 @@ import parkdet.cli as cli
 from parkdet.cli import _json_indented, build_parser, main, render_reports
 from parkdet.multigraph import complete_multigraph, format_graph, graph_to_json
 from parkdet.suites import MINIMUMS, SUITES
+
+ROOT = Path(__file__).resolve().parents[1]
 
 K4_TEXT = "3\n0 1 1\n0 2 1\n0 3 1\n1 2 1\n1 3 1\n2 3 1\n"
 
@@ -431,6 +434,21 @@ def test_verify_all_report_is_golden(tmp_path):
     assert hashlib.sha256(masked).hexdigest() == VERIFY_ALL_SEED0_SHA256
 
 
+# Every `verify all` digest the benchmark records, seeds 0-5, with each
+# report's trial count.
+BENCH_VERIFY_ALL = json.loads((ROOT / "bench" / "answers" / "verify-all.json").read_text())["instances"]
+
+
+@pytest.mark.parametrize("seed", sorted(BENCH_VERIFY_ALL, key=int))
+def test_verify_all_matches_benchmark_digest(seed, tmp_path):
+    out = tmp_path / "all.json"
+    assert main(["verify", "all", "--seed", seed, "--out", str(out)]) == 0
+    masked = re.sub(rb'"elapsed_ms": \d+', b'"elapsed_ms": 0', out.read_bytes())
+    assert hashlib.sha256(masked).hexdigest() == BENCH_VERIFY_ALL[seed]["sha256"]
+    total = sum(r["summary"]["total"] for r in json.loads(masked))
+    assert total == BENCH_VERIFY_ALL[seed]["trials"]
+
+
 # The same report as CSV, and as text with every summary's ", N ms" set to
 # ", 0 ms".
 VERIFY_ALL_SEED0_CSV_SHA256 = "6bec05fc8968be85579d6c120e5e13d00873c465c80575ac04a1f2a1cbf4a586"
@@ -457,14 +475,13 @@ def _verify_flags() -> set[str]:
 
 
 def test_suite_signatures_match_verify_flags():
-    # the CLI hands each suite the flags named by its MINIMUMS keys; a
-    # suite takes them after the report its runner builds
+    # the CLI hands each suite the flags named by its MINIMUMS keys, and a
+    # suite takes exactly those, in the order it declares them
     flags = _verify_flags()
     taken = set()
     for name, fn in SUITES.items():
-        params = set(inspect.signature(fn).parameters) - {"report"}
-        assert MINIMUMS[name].keys() == params, name
-        params -= {"seed"}
+        assert list(inspect.signature(fn).parameters) == list(MINIMUMS[name]), name
+        params = MINIMUMS[name].keys() - {"seed"}
         assert params <= flags, name
         taken |= params
     assert taken == flags

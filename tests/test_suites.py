@@ -1,16 +1,20 @@
 import json
 from itertools import permutations
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import parkdet.suites as suites_mod
 from parkdet.cli import render_reports
 from parkdet.exact_linalg import matrix, principal_submatrix
 from parkdet.suites import (
+    MINIMUMS,
     SUITES,
     Report,
     Trial,
     _find_pivot_permutation,
+    _suite,
     default_graph_corpus,
     suite_decomp,
     suite_ineq,
@@ -235,6 +239,67 @@ def test_report_constructor_defaults_and_mutability():
     assert c.trials is trials and c.elapsed_ms == 5
     c.elapsed_ms = 7
     assert c.to_dict()["summary"] == {"total": 1, "failed": 1, "elapsed_ms": 7}
+
+
+@pytest.fixture
+def registry(monkeypatch):
+    """`_suite` registering into throwaway copies of SUITES and MINIMUMS,
+    so no suite a test declares reaches `verify all`; returns the copy of
+    SUITES."""
+    monkeypatch.setattr(suites_mod, "SUITES", dict(SUITES))
+    monkeypatch.setattr(suites_mod, "MINIMUMS", dict(suites_mod.MINIMUMS))
+    return suites_mod.SUITES
+
+
+def test_runner_adds_each_yielded_trial(registry):
+    @_suite("demo", seed=(0, 0))
+    def demo(seed):
+        yield {"case": "eq"}, 2, 2
+        yield {"case": "eq, formula disagrees"}, 2, 2, 3
+        yield {"case": "geq"}, 3, 2, None, "geq"
+        yield {"case": "geq fails"}, 1, 2, None, "geq"
+        yield {"case": "passed given"}, 1, 2, None, "eq", True
+        yield {"case": "failed given"}, 2, 2, None, "geq", False
+
+    report = registry["demo"](seed=4)
+    assert (report.suite, report.params, report.seed, report.exit_code) == ("demo", {}, 4, 2)
+    assert [t.id for t in report.trials] == list(range(6))
+    assert [t.passed for t in report.trials] == [True, False, True, False, True, False]
+    assert [t.relation for t in report.trials] == ["eq", "eq", "geq", "geq", "eq", "geq"]
+    assert report.trials[1].formula == 3 and report.trials[0].formula is None
+    assert "demo" not in SUITES and "demo" not in MINIMUMS
+
+
+def test_runner_takes_returned_params(registry):
+    @_suite("demo", n_max=(2, 1))
+    def demo(n_max):
+        yield {}, 1, 1
+        if n_max > 2:
+            return {"graphs": n_max}
+
+    assert (registry["demo"]().params, registry["demo"]().seed) == ({"n_max": 2}, 0)
+    assert registry["demo"](n_max=5).params == {"graphs": 5}
+
+
+def test_runner_rejects_zero_trials(registry):
+    @_suite("empty", trials=(0, 0))
+    def empty(trials):
+        for _ in range(trials):
+            yield {}, 1, 1
+
+    with pytest.raises(ValueError, match=r"^suite empty ran 0 trials$"):
+        registry["empty"]()
+    assert len(registry["empty"](trials=2).trials) == 2
+
+
+def test_runner_propagates_suite_errors(registry):
+    @_suite("broken")
+    def broken():
+        yield {}, 1, 1
+        raise ZeroDivisionError("mid-suite")
+
+    with pytest.raises(ZeroDivisionError, match="mid-suite"):
+        registry["broken"]()
 
 
 def test_corpus_is_deterministic():

@@ -7,8 +7,9 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_sources_parse_as_python_3_10():
-    # Syntax only, against the floor in pyproject.toml: nothing runs under
-    # 3.10 here. The parser's feature_version rejects later constructs such
+    # Syntax only, against the floor in pyproject.toml. test_interpreters
+    # compiles every file with a real 3.10 when one can be run; this parse
+    # needs none. The parser's feature_version rejects later constructs such
     # as except*, which the probe shows. bench/ is parsed too: CI runs
     # bench/gate_check.py on 3.10
     probe = "try:\n    pass\nexcept* ValueError:\n    pass\n"
