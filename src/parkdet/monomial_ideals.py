@@ -13,14 +13,17 @@ ideal J_H attached to a symmetric integer matrix H with dominant
 diagonal. The two-level step-weight family of the colon recurrence is
 J_H of a weight matrix, built by `matrix_skeleton_ideal` too.
 
-Only `parking_ideal` and `skeleton_ideal` bypass the public
-constructor, through `MonomialIdeal._trusted`, which checks nothing.
-Their exponents are read off a `Multigraph`, whose constructor has
-checked every multiplicity to be an int >= 0, so each m_A is an
-n-tuple of ints >= 0. `skeleton_ideal` still minimalizes; the
-connected cuts `parking_ideal` keeps are each reached once and are the
-minimal generators already (Postnikov and Shapiro), so it only sorts
-them.
+`parking_ideal`, `skeleton_ideal` and `matrix_skeleton_ideal` bypass
+the public constructor, through `MonomialIdeal._trusted`, which checks
+nothing. The first two read their exponents off a `Multigraph`, whose
+constructor has checked every multiplicity to be an int >= 0, so each
+m_A is an n-tuple of ints >= 0; `matrix_skeleton_ideal` checks each of
+its generators itself. The connected cuts `parking_ideal` keeps are
+each reached once and are the minimal generators already (Postnikov and
+Shapiro), so it only sorts them. The two skeleton constructors only
+sort too when every generator has full support, a positive exponent at
+each variable its set or pair names, which makes the generators
+pairwise non-dividing; otherwise they minimalize.
 
 The boundary monomial m_A raises x_i, for i in A, to the number of
 edges from i to V - A. `parking_ideal` and `skeleton_ideal` both grow
@@ -106,7 +109,8 @@ class MonomialIdeal(_Frozen):
 
     The constructor checks that each generator has nvars nonnegative
     int exponents, stores it as a tuple and minimalizes; `_trusted`, for
-    `parking_ideal` and `skeleton_ideal` only, does none of this.
+    `parking_ideal`, `skeleton_ideal` and `matrix_skeleton_ideal` only,
+    does none of this.
     Equality of two MonomialIdeal values is equality of ideals, since
     minimal generating sets of monomial ideals are unique.
     """
@@ -194,17 +198,30 @@ def skeleton_ideal(g: Multigraph, k: int) -> MonomialIdeal:
     m_A1, of a smaller subset, is a generator already. Inductively every
     m_A is a multiple of the m_C of a connected subset C of A. For k = 1
     the subsets left out are exactly the non-adjacent pairs.
+
+    When every kept m_A has full support, a positive exponent at each
+    vertex of A, they are the minimal generators already and are only
+    sorted. Let A and B be connected sets with m_B | m_A. Support
+    containment gives B in A. For i in B, e(i, V - B) = e(i, V - A) +
+    e(i, A - B), so m_B | m_A forces e(i, A - B) = 0: no edge joins B to
+    A - B. As G|A is connected, B = A, and no kept m_A divides another.
+    Otherwise, as when some vertex of a set A has no edge leaving A, the
+    kept m_A are minimalized.
     """
     if type(k) is not int or not 0 <= k <= g.n - 1:  # type, not isinstance: bool is rejected
         raise ValueError(f"k must be an int in [0, {g.n - 1}], got {k!r}")
+    n = g.n
     nbr, deg, stack = _start(g)
-    gens = []
+    gens, full = [], True
     while stack:
         entry = stack.pop()
-        gens.append(entry[3])
-        if entry[0].bit_count() <= k:
+        a, m = entry[0], entry[3]
+        gens.append(m)
+        size = a.bit_count()
+        full = full and m.count(0) == n - size
+        if size <= k:
             _grow(stack, entry, g.adj, nbr, deg)
-    return MonomialIdeal._trusted(g.n, _minimalize(gens))
+    return MonomialIdeal._trusted(n, tuple(sorted(gens)) if full else _minimalize(gens))
 
 
 def parking_ideal(g: Multigraph) -> MonomialIdeal:
@@ -308,15 +325,26 @@ def matrix_skeleton_ideal(h: IntMatrix) -> MonomialIdeal:
 
     For the truncated signless Laplacian of a multigraph this coincides
     with the 1-skeleton ideal of the graph.
+
+    Every generator is checked, since `IntMatrix` does not check its
+    entries. When every h_ll > 0 and h_ii > h_ij < h_jj for each kept
+    pair, each generator has full support, a positive exponent at each of
+    its one or two variables, and the generators are minimal already, so
+    they are only sorted. A generator dividing another has its support
+    inside the other's, and no two generators share a support {l} or
+    {i, j}. So only x_l^h_ll could divide the generator of a pair {l, j},
+    and it does not: the pair's exponent at l is h_ll - h_lj < h_ll.
+    Otherwise the generators are minimalized.
     """
     if not has_dominant_diagonal(h):
         raise ValueError("matrix must be symmetric, nonnegative, with row-dominant diagonal")
     n = h.order
-    gens = []
+    gens, full = [], True
     for l in range(n):
         g = [0] * n
         g[l] = h[l][l]
         gens.append(tuple(g))
+        full = full and g[l] > 0
     for i in range(n):
         for j in range(i + 1, n):
             if not h[i][j]:  # x_i^h_ii x_j^h_jj, a multiple of x_i^h_ii
@@ -325,7 +353,10 @@ def matrix_skeleton_ideal(h: IntMatrix) -> MonomialIdeal:
             g[i] = h[i][i] - h[i][j]
             g[j] = h[j][j] - h[i][j]
             gens.append(tuple(g))
-    return MonomialIdeal(n, tuple(gens))
+            full = full and g[i] > 0 and g[j] > 0
+    for g in gens:
+        _check_exponents(g, n, "generator")
+    return MonomialIdeal._trusted(n, tuple(sorted(gens)) if full else _minimalize(gens))
 
 
 def colon(ideal: MonomialIdeal, m: Monomial) -> MonomialIdeal:

@@ -90,9 +90,9 @@ def skeleton_ideal_all_subsets(g: Multigraph, k: int) -> MonomialIdeal:
     return MonomialIdeal(g.n, tuple(gens))
 
 
-def connected_boundary_monomials(g: Multigraph, k: int) -> list[tuple[int, ...]]:
-    """m_A, sorted, for every set A of at most k+1 non-root vertices that
-    induces a connected subgraph of G - root, one entry per set."""
+def connected_sets(g: Multigraph, k: int) -> list[tuple[int, ...]]:
+    """Every set A of at most k+1 non-root vertices that induces a
+    connected subgraph of G - root."""
     def connected(a: tuple[int, ...]) -> bool:
         seen, todo = {a[0]}, [a[0]]
         while todo:
@@ -103,8 +103,13 @@ def connected_boundary_monomials(g: Multigraph, k: int) -> list[tuple[int, ...]]
                     todo.append(j)
         return len(seen) == len(a)
 
-    return sorted(boundary_monomial(g, a) for size in range(1, k + 2)
-                  for a in combinations(range(1, g.n + 1), size) if connected(a))
+    return [a for size in range(1, k + 2) for a in combinations(range(1, g.n + 1), size) if connected(a)]
+
+
+def connected_boundary_monomials(g: Multigraph, k: int) -> list[tuple[int, ...]]:
+    """m_A, sorted, for every connected set A of at most k+1 non-root
+    vertices, one entry per set."""
+    return sorted(boundary_monomial(g, a) for a in connected_sets(g, k))
 
 
 def matrix_skeleton_ideal_all_pairs(h: IntMatrix) -> MonomialIdeal:

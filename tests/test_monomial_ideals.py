@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from parkdet import monomial_ideals
-from parkdet.exact_linalg import matrix
+from parkdet.exact_linalg import IntMatrix, matrix
 from parkdet.monomial_ideals import (
     MonomialIdeal,
     _minimalize,
@@ -30,7 +30,13 @@ from parkdet.multigraph import (
     random_multigraph,
 )
 from parkdet.standard_count import count_standard
-from oracles import connected_boundary_monomials, matrix_skeleton_ideal_all_pairs, skeleton_ideal_all_subsets
+from oracles import (
+    boundary_monomial,
+    connected_boundary_monomials,
+    connected_sets,
+    matrix_skeleton_ideal_all_pairs,
+    skeleton_ideal_all_subsets,
+)
 
 K3 = complete_multigraph(2, 1, 1)
 K4 = complete_multigraph(3, 1, 1)
@@ -55,17 +61,38 @@ def handed_over(build, *args):
     return sorted(passed)
 
 
+def collected(build, *args):
+    """The generators that build(*args) collects, sorted: the list it
+    hands to minimalization, or sorts for `_trusted` when it skips that."""
+    lists = []
+    trusted = MonomialIdeal._trusted
+
+    def spy_minimalize(gens):
+        lists.append(sorted(gens))
+        return _minimalize(gens)
+
+    def spy_trusted(nvars, gens):
+        lists.append(sorted(gens))
+        return trusted(nvars, gens)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(monomial_ideals, "_minimalize", spy_minimalize)
+        mp.setattr(MonomialIdeal, "_trusted", staticmethod(spy_trusted))
+        build(*args)
+    return lists[0]
+
+
 def test_skeleton_ideal_boundary_examples():
     # m_A of every connected set, one each: {1} -> (3, 0, 0) in K4
-    assert handed_over(skeleton_ideal, K4, 0) == [(0, 0, 3), (0, 3, 0), (3, 0, 0)]
+    assert collected(skeleton_ideal, K4, 0) == [(0, 0, 3), (0, 3, 0), (3, 0, 0)]
     # {1, 2} -> (2, 2, 0) in K4
-    assert handed_over(skeleton_ideal, K4, 1) == [(0, 0, 3), (0, 2, 2), (0, 3, 0), (2, 0, 2), (2, 2, 0), (3, 0, 0)]
+    assert collected(skeleton_ideal, K4, 1) == [(0, 0, 3), (0, 2, 2), (0, 3, 0), (2, 0, 2), (2, 2, 0), (3, 0, 0)]
     # edges leaving {2,3} in K4 minus the 0-3 edge: two from 2, one from 3
     g31 = complete_minus_root_edges(3, 1)
-    assert handed_over(skeleton_ideal, g31, 1) == [(0, 0, 2), (0, 2, 1), (0, 3, 0), (2, 0, 1), (2, 2, 0), (3, 0, 0)]
+    assert collected(skeleton_ideal, g31, 1) == [(0, 0, 2), (0, 2, 1), (0, 3, 0), (2, 0, 1), (2, 2, 0), (3, 0, 0)]
     # the ladder at n = 13 has the 969 connected sets that parking_ideal's
     # docstring counts
-    handed = handed_over(skeleton_ideal, ladder(13), 12)
+    handed = collected(skeleton_ideal, ladder(13), 12)
     assert len(handed) == 969 and handed == connected_boundary_monomials(ladder(13), 12)
 
 
@@ -116,7 +143,37 @@ def test_skeleton_ideal_hands_over_each_connected_set_once(g):
     # exactly once and carries its m_A along: the list handed over is the
     # oracle's m_A, each computed afresh, with nothing missing or repeated
     for k in range(g.n):
-        assert handed_over(skeleton_ideal, g, k) == connected_boundary_monomials(g, k)
+        assert collected(skeleton_ideal, g, k) == connected_boundary_monomials(g, k)
+
+
+@given(multigraphs())
+@example(complete_multigraph(4, 2, 1))
+@example(K4)
+def test_full_support_boundary_monomials_are_minimal(g):
+    # the lemma behind skeleton_ideal's skip: when m_A has a positive
+    # exponent at every vertex of A for each connected A, no m_A divides
+    # another, so minimalization only sorts them
+    for k in range(g.n):
+        sets = connected_sets(g, k)
+        gens = [boundary_monomial(g, a) for a in sets]
+        if all(len(m) - m.count(0) == len(a) for a, m in zip(sets, gens)):
+            assert list(_minimalize(gens)) == sorted(gens)
+
+
+def test_skeleton_ideal_skips_minimalization_on_full_support():
+    # every m_A of K4, and every m_A with |A| <= 2 of this dense graph, has
+    # full support; P4's vertex 3 hangs off vertex 2, so m_{2,3} = x_2 has
+    # no x_3 and the kept m_A are minimalized
+    dense = random_multigraph(7, 3, seed=0)
+    for g, k in [(K4, 0), (K4, 1), (K4, 2), (dense, 1)]:
+        assert handed_over(skeleton_ideal, g, k) == []
+        assert skeleton_ideal(g, k) == skeleton_ideal_all_subsets(g, k)
+    assert handed_over(skeleton_ideal, P4, 1) == connected_boundary_monomials(P4, 1)
+    assert skeleton_ideal(P4, 1) == skeleton_ideal_all_subsets(P4, 1)
+    for g, skips in [(K4, True), (dense, True), (P4, False)]:
+        qtilde = laplacians(g).qtilde
+        assert (handed_over(matrix_skeleton_ideal, qtilde) == []) == skips
+        assert matrix_skeleton_ideal(qtilde) == matrix_skeleton_ideal_all_pairs(qtilde)
 
 
 @given(multigraphs())
@@ -164,21 +221,37 @@ def test_skeleton_ideals_match_all_subsets(g):
     assert matrix_skeleton_ideal(qtilde) == matrix_skeleton_ideal_all_pairs(qtilde)
 
 
-@given(st.integers(min_value=1, max_value=6).flatmap(lambda n: st.tuples(
-    st.lists(st.integers(min_value=0, max_value=3), min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2),
-    st.lists(st.integers(min_value=0, max_value=3), min_size=n, max_size=n))))
-def test_matrix_skeleton_ideal_matches_all_pairs(data):
-    # a dominant matrix: each diagonal entry is its row's off-diagonal sum
-    # plus a slack of 0..3, so cross exponents of 0 occur
-    upper, slack = data
-    n = len(slack)
+@st.composite
+def dominant_matrices(draw):
+    """Each diagonal entry is its row's off-diagonal sum plus a slack of
+    0..3, so cross exponents of 0 occur."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    entry = st.integers(min_value=0, max_value=3)
     rows = [[0] * n for _ in range(n)]
-    for (i, j), e in zip(combinations(range(n), 2), upper):
-        rows[i][j] = rows[j][i] = e
+    for i, j in combinations(range(n), 2):
+        rows[i][j] = rows[j][i] = draw(entry)
     for i in range(n):
-        rows[i][i] = sum(rows[i]) + slack[i]
-    h = matrix(rows)
+        rows[i][i] = sum(rows[i]) + draw(entry)
+    return matrix(rows)
+
+
+@given(dominant_matrices())
+def test_matrix_skeleton_ideal_matches_all_pairs(h):
     assert matrix_skeleton_ideal(h) == matrix_skeleton_ideal_all_pairs(h)
+
+
+@given(dominant_matrices())
+def test_full_support_matrix_generators_are_minimal(h):
+    # the matrix analogue of the lemma: with every h_ll > 0 and
+    # h_ii > h_ij < h_jj for each pair with h_ij > 0, no generator divides
+    # another
+    n = h.order
+    pairs = [(i, j) for i, j in combinations(range(n), 2) if h[i][j]]
+    gens = [tuple(h[l][l] if m == l else 0 for m in range(n)) for l in range(n)]
+    gens += [tuple(h[i][i] - h[i][j] if m == i else h[j][j] - h[i][j] if m == j else 0 for m in range(n))
+             for i, j in pairs]
+    if all(h[l][l] for l in range(n)) and all(h[i][i] > h[i][j] < h[j][j] for i, j in pairs):
+        assert list(_minimalize(gens)) == sorted(gens)
 
 
 def test_parking_ideal_of_disconnected_graph_is_unit():
@@ -322,6 +395,14 @@ def test_matrix_skeleton_matches_graph_skeleton():
     for seed in range(5):
         g = random_multigraph(4, 3, seed=seed)
         assert matrix_skeleton_ideal(laplacians(g).qtilde) == skeleton_ideal(g, 1)
+
+
+@pytest.mark.parametrize("rows", [((True,),), ((1.5,),), ((2.0, 1), (1, 2))])
+def test_matrix_skeleton_ideal_rejects_non_int_entries(rows):
+    # every generator has full support, so minimalization is skipped, but
+    # each one is still checked
+    with pytest.raises(ValueError, match=re.escape("exponents must be nonnegative ints")):
+        matrix_skeleton_ideal(IntMatrix(rows))
 
 
 def test_matrix_skeleton_degenerate_unit():
