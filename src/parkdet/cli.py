@@ -219,14 +219,7 @@ def _cmd_ideal(args) -> int:
 
 
 def _cmd_dim(args) -> int:
-    ideal = _resolve_ideal(args)
-    try:
-        count = count_standard(ideal)
-    except RecursionError as exc:  # the counter takes a frame per variable
-        source = _one_source(args, *_IDEAL_SOURCES)
-        name = getattr(args, source) if source.endswith("_file") else f"{_flag(source)} {getattr(args, source)}"
-        raise ValueError(f"{name}: {exc}") from None
-    _write_out(f"{count}\n", args.out)
+    _write_out(f"{count_standard(_resolve_ideal(args))}\n", args.out)
     return 0
 
 

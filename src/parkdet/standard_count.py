@@ -16,7 +16,7 @@ algorithms of Bayer-Stillman and Bigatti): the slice at p is the ideal,
 in the other variables, of the generators with g_1 <= p. It is constant
 between consecutive values of g_1, so each run of equal slices is
 counted once; from x_1's pure power on, the slice is the unit ideal, and
-it is never built. The slices are counted recursively down to one closed
+it is never built. The slices are counted in one loop down to one closed
 form, taken when at most two generators are not pure powers (the
 corners): the box of the pure powers with those corners cut out, read
 off the bytes of the box and of the box minus a corner, which lies
@@ -46,7 +46,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from math import prod
 from operator import lt, sub
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .monomial_ideals import Monomial, MonomialIdeal
 
@@ -88,22 +88,50 @@ def count_standard(ideal: MonomialIdeal) -> int:
         gens = tuple(int.from_bytes(bytes(g), "big") for g in ideal.gens)
     else:
         gens = tuple(int.from_bytes(b"".join(e.to_bytes(k, "big") for e in g), "big") for g in ideal.gens)
-    return _slice_count(gens, ideal.nvars, k, {})
+    return _slice_count(gens, ideal.nvars, k)
 
 
-def _slice_count(gens: tuple[int, ...], n: int, k: int, memo: dict) -> int:
+def _slice_count(gens: tuple[int, ...], n: int, k: int) -> int:
     """Standard monomials of the Artinian, non-unit ideal in n variables
     minimally generated by `gens`, packed as `count_standard` packs them
     (k bytes a field, x_1 on top) and sorted, which for packed ints is
-    the lexicographic order of the exponent tuples. Besides one pure power
-    per variable, an ideal with at most two more generators is a leaf:
-    `_corners` counts it in closed form, before the memo is consulted.
+    the lexicographic order of the exponent tuples.
 
-    `memo` maps the sorted packed generators to their count. Packing is
-    injective at one field width, one width serves the whole call, and the
-    last generator, x_1's pure power, is the only one with a nonzero top
-    field, so the key fixes n too. Two slices share an entry only when
-    they are the same ideal, and the memo is sound.
+    One loop walks the tree of slices depth first, the root's one slice
+    being the ideal itself. Besides one pure power per variable, a slice
+    with at most two more generators is a leaf, which `_corners` counts
+    in closed form; it and a memo hit are added in place, and a miss
+    pushes the current frame (key, nvars, slices, partial sum) with the
+    miss's multiplier. An exhausted frame memoizes its total and pops its
+    parent, adding the total times that multiplier. The memo maps the
+    sorted packed generators to their count. Packing is injective at one
+    field width, one width serves the whole call, and the last generator,
+    x_1's pure power, is the only one with a nonzero top field, so the key
+    fixes n too. Two slices share an entry only when they are the same
+    ideal, and the memo is sound.
+    """
+    memo, stack = {}, []
+    key, n, slices, total = None, n, iter([(1, gens)]), 0
+    while True:
+        for c, s in slices:
+            if len(s) <= n + 2:
+                total += c * _corners(s, n, k)
+            elif (hit := memo.get(s)) is not None:
+                total += c * hit
+            else:
+                stack.append((key, n, slices, total, c))
+                key, n, slices, total = s, n - 1, _slices(s, n, k), 0
+                break
+        else:
+            if not stack:
+                return total
+            memo[key] = total
+            key, n, slices, partial, c = stack.pop()
+            total = partial + c * total
+
+
+def _slices(gens: tuple[int, ...], n: int, k: int) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """Yields (multiplier, slice) for each run of x_1 exponents sharing a slice.
 
     The slice at p is the ideal of the generators with g_1 <= p, with x_1
     dropped; it only changes at the cuts, the distinct values of the top
@@ -111,7 +139,7 @@ def _slice_count(gens: tuple[int, ...], n: int, k: int, memo: dict) -> int:
     found by bisecting for the next cut's first value. The last cut holds
     only x_1's pure power: any other generator with g_1 at least its
     exponent would be its multiple. From there on the slice is the unit
-    ideal, so the pass stops before the last cut and counts the slice of
+    ideal, so the pass stops before the last cut and yields the slice of
     the cut before it up to x_1's exponent.
 
     At each cut, the kept projections that a new projection g & low (g
@@ -128,34 +156,28 @@ def _slice_count(gens: tuple[int, ...], n: int, k: int, memo: dict) -> int:
     The new projections of a cut are sorted already, so re-sorting after
     appending them merges two sorted runs.
     """
-    if len(gens) <= n + 2:
-        return _corners(gens, n, k)
-    total = memo.get(gens)
-    if total is None:
-        top = 8 * k * (n - 1)
-        low = (1 << top) - 1
-        guard = int.from_bytes((b"\x80" + bytes(k - 1)) * (n - 1), "big")
-        total = lo = start = 0
-        last = len(gens) - 1
-        kept: list[int] = []
-        while start < last:
-            cut = gens[start] >> top
-            end = bisect_left(gens, cut + 1 << top, start, last)
-            new = [g & low for g in gens[start:end]]
-            start = end
-            if kept:  # the slice of the previous cut holds up to this one
-                total += (cut - lo) * _slice_count(tuple(kept), n - 1, k, memo)
-                for g in new:
-                    i = bisect_left(kept, g)
-                    kept[i:] = [h for h in kept[i:] if ((h | guard) - g) & guard != guard]
-                kept += new
-                kept.sort()  # two sorted runs, merged in linear time
-            else:
-                kept = new
-            lo = cut
-        total += ((gens[-1] >> top) - lo) * _slice_count(tuple(kept), n - 1, k, memo)
-        memo[gens] = total
-    return total
+    top = 8 * k * (n - 1)
+    low = (1 << top) - 1
+    guard = int.from_bytes((b"\x80" + bytes(k - 1)) * (n - 1), "big")
+    lo = start = 0
+    last = len(gens) - 1
+    kept: list[int] = []
+    while start < last:
+        cut = gens[start] >> top
+        end = bisect_left(gens, cut + 1 << top, start, last)
+        new = [g & low for g in gens[start:end]]
+        start = end
+        if kept:  # the slice of the previous cut holds up to this one
+            yield cut - lo, tuple(kept)
+            for g in new:
+                i = bisect_left(kept, g)
+                kept[i:] = [h for h in kept[i:] if ((h | guard) - g) & guard != guard]
+            kept += new
+            kept.sort()  # two sorted runs, merged in linear time
+        else:
+            kept = new
+        lo = cut
+    yield (gens[-1] >> top) - lo, tuple(kept)
 
 
 def _fields(p: int, n: int, k: int) -> Sequence[int]:

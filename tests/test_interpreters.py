@@ -16,7 +16,13 @@ from pathlib import Path
 
 import pytest
 
-from test_cli import VERIFY_ALL_SEED0_CSV_SHA256, VERIFY_ALL_SEED0_SHA256, VERIFY_ALL_SEED0_TEXT_SHA256
+from test_cli import (
+    DEEP_COUNT,
+    VERIFY_ALL_SEED0_CSV_SHA256,
+    VERIFY_ALL_SEED0_SHA256,
+    VERIFY_ALL_SEED0_TEXT_SHA256,
+    chain_count,
+)
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -40,8 +46,9 @@ MASKS = {"json": (rb'"elapsed_ms": \d+', b'"elapsed_ms": 0'), "text": (rb", \d+ 
 
 @pytest.fixture(scope="module", params=[10, 12, 13], ids=lambda minor: f"python3.{minor}")
 def python(request):
-    """Run the named interpreter in the repository root with the package
-    on its path; returns the CompletedProcess, with bytes output."""
+    """Run the named interpreter, in the repository root unless `cwd` names
+    another directory, with the package on its path; returns the
+    CompletedProcess, with bytes output."""
     name = f"python3.{request.param}"
     exe = shutil.which(name)
     if exe is None:
@@ -49,8 +56,8 @@ def python(request):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYENV_VERSION=f"3.{request.param}",
                PYTHONDONTWRITEBYTECODE="1")
 
-    def run(*args: str) -> subprocess.CompletedProcess:
-        return subprocess.run([exe, *args], env=env, cwd=ROOT, capture_output=True, timeout=120)
+    def run(*args: str, cwd: Path = ROOT) -> subprocess.CompletedProcess:
+        return subprocess.run([exe, *args], env=env, cwd=cwd, capture_output=True, timeout=120)
 
     probe = run("-c", "import sys; print(*sys.version_info[:2])")
     if probe.returncode != 0 or probe.stdout.split() != [b"3", str(request.param).encode()]:
@@ -76,6 +83,14 @@ def test_errors_exit_1(python, tmp_path):
     done = python("-m", "parkdet.cli", "dim", "--graph-file", str(missing))
     assert (done.returncode, done.stdout) == (1, b"")
     assert done.stderr.decode() == f"io error: [Errno 2] No such file or directory: {str(missing)!r}\n"
+
+
+def test_chain_counts_under_a_low_recursion_limit(python, tmp_path):
+    # the counter's explicit stack must not lean on how an interpreter
+    # handles deep recursion, which differs across these versions
+    done = python("-c", DEEP_COUNT, cwd=tmp_path)
+    assert done.returncode == 0, done.stderr.decode()
+    assert done.stdout == f"{chain_count(200)}\n".encode()
 
 
 def test_sources_compile(python):

@@ -1,3 +1,4 @@
+from contextlib import contextmanager
 from itertools import combinations, combinations_with_replacement, product
 from math import prod
 
@@ -10,6 +11,7 @@ from parkdet.monomial_ideals import (
     MonomialIdeal,
     _minimalize,
     lambda_ideal,
+    matrix_skeleton_ideal,
     parking_ideal,
     skeleton_ideal,
     step_weight_ideal,
@@ -21,7 +23,7 @@ from parkdet.multigraph import (
     laplacians,
     random_multigraph,
 )
-from parkdet.exact_linalg import det
+from parkdet.exact_linalg import det, matrix
 from parkdet.formulas import parking_dim_complete, skeleton1_dim_complete, steck_count
 from parkdet.standard_count import (
     IE_GENERATOR_GUARD,
@@ -32,6 +34,7 @@ from parkdet.standard_count import (
     enumerate_standard,
 )
 from oracles import count_lambda_parking, is_g_parking, is_lambda_parking
+from test_monomial_ideals import wheel
 
 K3 = complete_multigraph(2, 1, 1)
 K4 = complete_multigraph(3, 1, 1)
@@ -47,6 +50,29 @@ def unpack(p, n, k):
     # x_1 in the top field
     b = p.to_bytes(n * k, "big")
     return tuple(int.from_bytes(b[i:i + k], "big") for i in range(0, n * k, k))
+
+
+@contextmanager
+def every_slice(check):
+    # the counting loop looks up the module's _slices and _corners, so
+    # check(gens, n, k) sees the top ideal, handed to one of them, and
+    # every slice _slices yields: a leaf, a memo hit or a miss alike
+    slices, corners = standard_count._slices, standard_count._corners
+
+    def checked_slices(gens, n, k):
+        check(gens, n, k)
+        for c, s in slices(gens, n, k):
+            check(s, n - 1, k)
+            yield c, s
+
+    def checked_corners(gens, n, k):
+        check(gens, n, k)
+        return corners(gens, n, k)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(standard_count, "_slices", checked_slices)
+        mp.setattr(standard_count, "_corners", checked_corners)
+        yield
 
 
 def test_count_examples():
@@ -82,14 +108,7 @@ def test_count_routes_agree_at_field_width_boundaries(top, width):
                        (2, top - 1, 0), (2, 0, top - 1)])
     assert len(leaf.gens) == 5 and len(sliced.gens) == 7
     widths = []
-    original = standard_count._slice_count
-
-    def spy(gens, n, k, memo):
-        widths.append(k)
-        return original(gens, n, k, memo)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(standard_count, "_slice_count", spy)
+    with every_slice(lambda gens, n, k: widths.append(k)):
         for i in (leaf, sliced):
             assert count_standard(i) == count_standard_ie(i)
     assert set(widths) == {width}
@@ -302,25 +321,60 @@ def test_ie_grouped_by_lcm_matches_subset_sum(i):
 @given(counted_ideals)
 def test_every_slice_is_minimally_generated(i):
     # the counter keeps a slice minimal only by filtering the previous
-    # one; the recursion looks up the module's _slice_count, so every
-    # slice passes through the wrapper. A slice must also arrive sorted:
-    # it is its own memo key and is cut in order of its first exponent.
-    # It arrives packed, so it is decoded at the call's field width; the
-    # ints must sort as their exponent tuples do, and no exponent may
-    # reach a field's top bit, the guard
-    original = standard_count._slice_count
-
-    def checked(gens, n, k, memo):
+    # one, and every_slice hands each slice, and the top ideal, to check.
+    # A slice must also arrive sorted: it is its own memo key and is cut
+    # in order of its first exponent. It arrives packed, so it is decoded
+    # at the call's field width; the ints must sort as their exponent
+    # tuples do, and no exponent may reach a field's top bit, the guard
+    def check(gens, n, k):
         tuples = [unpack(p, n, k) for p in gens]
         assert sorted(tuples) == list(_minimalize(tuples))
         assert tuples == sorted(tuples)
         assert [unpack(p, n, k) for p in sorted(gens)] == sorted(tuples)
         assert max(map(max, tuples)) < 1 << 8 * k - 1
-        return original(gens, n, k, memo)
+
+    with every_slice(check):
+        assert count_standard(i) == count_standard_ie(i)
+
+
+def chain(n):
+    # J_H of the tridiagonal matrix of order n, diagonal 3, off-diagonal 1
+    return matrix_skeleton_ideal(matrix([[3 if i == j else int(abs(i - j) == 1) for j in range(n)]
+                                         for i in range(n)]))
+
+
+@pytest.mark.parametrize("ideals, total, leaves, hits, misses", [
+    ([skeleton_ideal(random_multigraph(7, 3, s), 1) for s in range(6)], 73040917, 86, 2, 45),
+    ([parking_ideal(random_multigraph(6, 3, s)) for s in range(6)], 1194691, 1993, 339, 773),
+    ([parking_ideal(wheel(8))], 2205, 11, 20, 24),
+    ([parking_ideal(complete_multigraph(7, 1, 1))], 8 ** 6, 105, 196, 99),
+    ([chain(30)], 13397386067968, 3, 25, 52),
+], ids=["skeleton-7", "parking-6", "wheel-8", "K_8", "chain-30"])
+def test_the_loop_visits_the_nodes_the_recursion_did(ideals, total, leaves, hits, misses):
+    # the counter was a recursion, one call per slice, with this slicing
+    # order and memo key; these are the leaves, memo hits and misses it
+    # visited, and its total. _corners counts the leaves and _slices cuts
+    # the misses, the top ideal among them, which is never looked up in
+    # the memo; every other slice yielded is a hit
+    seen = {"corners": 0, "slices": 0, "yielded": 0}
+    slices, corners = standard_count._slices, standard_count._corners
+
+    def counted_slices(gens, n, k):
+        seen["slices"] += 1
+        for c, s in slices(gens, n, k):
+            seen["yielded"] += 1
+            yield c, s
+
+    def counted_corners(gens, n, k):
+        seen["corners"] += 1
+        return corners(gens, n, k)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(standard_count, "_slice_count", checked)
-        assert count_standard(i) == count_standard_ie(i)
+        mp.setattr(standard_count, "_slices", counted_slices)
+        mp.setattr(standard_count, "_corners", counted_corners)
+        assert sum(map(count_standard, ideals)) == total
+    yielded_hits = seen["yielded"] + len(ideals) - seen["corners"] - seen["slices"]
+    assert (seen["corners"], yielded_hits, seen["slices"]) == (leaves, hits, misses)
 
 
 @settings(max_examples=90)
