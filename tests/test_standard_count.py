@@ -1,6 +1,8 @@
+import tracemalloc
 from contextlib import contextmanager
 from itertools import combinations, combinations_with_replacement, product
 from math import prod
+from operator import lt
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -52,22 +54,29 @@ def unpack(p, n, k):
     return tuple(int.from_bytes(b[i:i + k], "big") for i in range(0, n * k, k))
 
 
+def decode(box, corners, n, k):
+    # the sorted exponent tuples of a slice the counter handed over: one
+    # pure power for each field of the box, and the corners
+    powers = [tuple(e if j == i else 0 for j in range(n)) for i, e in enumerate(unpack(box, n, k))]
+    return sorted(powers + [unpack(p, n, k) for p in corners])
+
+
 @contextmanager
 def every_slice(check):
     # the counting loop looks up the module's _slices and _corners, so
-    # check(gens, n, k) sees the top ideal, handed to one of them, and
-    # every slice _slices yields: a leaf, a memo hit or a miss alike
+    # check(box, corners, n, k) sees the top ideal, handed to one of them,
+    # and every slice _slices yields: a leaf, a memo hit or a miss alike
     slices, corners = standard_count._slices, standard_count._corners
 
-    def checked_slices(gens, n, k):
-        check(gens, n, k)
-        for c, s in slices(gens, n, k):
-            check(s, n - 1, k)
-            yield c, s
+    def checked_slices(box, gens, n, k):
+        check(box, gens, n, k)
+        for c, b, s in slices(box, gens, n, k):
+            check(b, s, n - 1, k)
+            yield c, b, s
 
-    def checked_corners(gens, n, k):
-        check(gens, n, k)
-        return corners(gens, n, k)
+    def checked_corners(box, gens, n, k):
+        check(box, gens, n, k)
+        return corners(box, gens, n, k)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(standard_count, "_slices", checked_slices)
@@ -108,11 +117,33 @@ def test_count_routes_agree_at_field_width_boundaries(top, width):
                        (2, top - 1, 0), (2, 0, top - 1)])
     assert len(leaf.gens) == 5 and len(sliced.gens) == 7
     widths = []
-    with every_slice(lambda gens, n, k: widths.append(k)):
+    with every_slice(lambda box, corners, n, k: widths.append(k)):
         for i in (leaf, sliced):
             assert count_standard(i) == count_standard_ie(i)
     assert set(widths) == {width}
     assert len(widths) > 2  # the sliced ideal went below its top
+
+
+@pytest.mark.parametrize("i, cut_box", [
+    (ideal(4, [(2, 0, 0, 0), (0, 127, 0, 0), (0, 0, 6, 0), (0, 0, 0, 6), (0, 126, 1, 0), (0, 100, 0, 3),
+               (0, 0, 5, 5), (0, 20, 1, 2), (0, 3, 3, 0), (1, 50, 0, 0), (1, 0, 4, 0), (1, 10, 0, 1)]),
+     (50, 4, 6)),
+    (ideal(4, [(2, 0, 0, 0), (0, 300, 0, 0), (0, 0, 6, 0), (0, 0, 0, 6), (0, 299, 1, 0), (0, 200, 0, 3),
+               (0, 0, 5, 5), (0, 20, 1, 2), (0, 3, 3, 0), (1, 5, 0, 0), (1, 0, 4, 0), (1, 1, 0, 1)]),
+     (5, 4, 6)),
+], ids=["k1-127", "k2-300-to-5"])
+def test_one_cut_brings_pure_powers_and_a_corner(i, cut_box):
+    # the cut x_1 = 1 projects two generators to pure powers of x_2 and
+    # x_3 and one to a corner. The powers replace their fields of the box,
+    # 127 or 300 (all two bytes of its field) dropping to 50 or 5; they
+    # and the new corner drop four of the five corners of x_1 = 0, and
+    # x_2^3 x_3^3 stays
+    assert len(i.gens) == 12
+    boxes = []
+    with every_slice(lambda box, corners, n, k: boxes.append(unpack(box, n, k))):
+        count = count_standard(i)
+    assert cut_box in boxes
+    assert count == count_standard_ie(i) == len(enumerate_standard(i))
 
 
 def ie_by_subsets(i):
@@ -298,10 +329,10 @@ def test_corner_leaves_match_the_oracles(i):
     # below it is sliced; it gets the ideal itself, packed
     corners = []
 
-    def spy(gens, n, k):
-        corners.append(len(gens) - n)
-        assert [unpack(p, n, k) for p in gens] == list(i.gens)
-        return original(gens, n, k)
+    def spy(box, gens, n, k):
+        corners.append(len(gens))
+        assert decode(box, gens, n, k) == list(i.gens)
+        return original(box, gens, n, k)
 
     original = standard_count._corners
     with pytest.MonkeyPatch.context() as mp:
@@ -322,16 +353,23 @@ def test_ie_grouped_by_lcm_matches_subset_sum(i):
 def test_every_slice_is_minimally_generated(i):
     # the counter keeps a slice minimal only by filtering the previous
     # one, and every_slice hands each slice, and the top ideal, to check.
-    # A slice must also arrive sorted: it is its own memo key and is cut
-    # in order of its first exponent. It arrives packed, so it is decoded
-    # at the call's field width; the ints must sort as their exponent
-    # tuples do, and no exponent may reach a field's top bit, the guard
-    def check(gens, n, k):
+    # Its corners must also arrive sorted: they are in its memo key and
+    # are cut in order of their first exponent. A slice arrives packed, so
+    # it is decoded at the call's field width; the ints must sort as their
+    # exponent tuples do, and no exponent may reach a field's top bit, the
+    # guard. The box holds one positive exponent per variable, the pure
+    # powers, and each corner has two or more nonzero exponents, each
+    # below the box's, as no pure power divides it
+    def check(box, gens, n, k):
         tuples = [unpack(p, n, k) for p in gens]
-        assert sorted(tuples) == list(_minimalize(tuples))
+        ideal = decode(box, gens, n, k)
+        assert ideal == list(_minimalize(ideal))
         assert tuples == sorted(tuples)
         assert [unpack(p, n, k) for p in sorted(gens)] == sorted(tuples)
-        assert max(map(max, tuples)) < 1 << 8 * k - 1
+        assert max(map(max, ideal)) < 1 << 8 * k - 1
+        bounds = unpack(box, n, k)
+        assert box.bit_length() <= 8 * k * n and min(bounds) > 0
+        assert all(g.count(0) <= n - 2 and all(map(lt, g, bounds)) for g in tuples)
 
     with every_slice(check):
         assert count_standard(i) == count_standard_ie(i)
@@ -341,6 +379,22 @@ def chain(n):
     # J_H of the tridiagonal matrix of order n, diagonal 3, off-diagonal 1
     return matrix_skeleton_ideal(matrix([[3 if i == j else int(abs(i - j) == 1) for j in range(n)]
                                          for i in range(n)]))
+
+
+def test_chain_count_stays_small_in_memory():
+    # a chain's slices gain only pure powers, each landing in a box of
+    # one int, and the slice at x_1 = 0 shares its corners' ints with the
+    # sliced ideal, so the memo of the order-400 chain peaks near 2 MB;
+    # keyed by whole packed slices, it peaked near 29 MB, growing as the
+    # cube of the order
+    i = chain(400)
+    tracemalloc.start()
+    try:
+        count_standard(i)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20
 
 
 @pytest.mark.parametrize("ideals, total, leaves, hits, misses", [
@@ -359,15 +413,15 @@ def test_the_loop_visits_the_nodes_the_recursion_did(ideals, total, leaves, hits
     seen = {"corners": 0, "slices": 0, "yielded": 0}
     slices, corners = standard_count._slices, standard_count._corners
 
-    def counted_slices(gens, n, k):
+    def counted_slices(box, gens, n, k):
         seen["slices"] += 1
-        for c, s in slices(gens, n, k):
+        for c, b, s in slices(box, gens, n, k):
             seen["yielded"] += 1
-            yield c, s
+            yield c, b, s
 
-    def counted_corners(gens, n, k):
+    def counted_corners(box, gens, n, k):
         seen["corners"] += 1
-        return corners(gens, n, k)
+        return corners(box, gens, n, k)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(standard_count, "_slices", counted_slices)
