@@ -21,10 +21,12 @@ corners that a new power or a new corner divides are dropped, which
 keeps the slice minimally generated without a minimalization pass. The
 corners are kept sorted, so the multiples of a new corner lie in the
 suffix that starts where it would be inserted, and only that suffix is
-tested. The slices are counted in one loop, memoized within a call by
-(box, corners), which is the ideal itself at the call's one field width
-(a slice never raises an exponent, so the width chosen at the top fits
-every slice), down to one closed form, taken at two corners or fewer:
+tested. The slices are counted in one loop, memoized by (box, corners),
+which is the ideal itself at the call's one field width (a slice never
+raises an exponent, so the width chosen at the top fits every slice),
+in one dict for each width that outlives the call, so a slice that any
+earlier count in the process finished is a hit; the loop goes down to
+one closed form, taken at two corners or fewer:
 the box with those corners cut out, read off the bytes of the box and of
 the box minus a corner, which lies strictly inside it, so the
 subtraction never borrows. A two-variable slice with more corners is
@@ -54,6 +56,11 @@ from .monomial_ideals import Monomial, MonomialIdeal
 
 ENUMERATION_GUARD = 10**6
 IE_GENERATOR_GUARD = 22
+MEMO_CAP = 2**14  # entries a width's slice memo may keep past a call
+
+# the slice memo of `_slice_count`: for each field width k, a dict from
+# (box, corners) to the count, kept from one call to the next
+_MEMO: dict[int, dict[tuple[int, tuple[int, ...]], int]] = {}
 
 
 class NonArtinianError(ValueError):
@@ -109,25 +116,42 @@ def _slice_count(box: int, corners: tuple[int, ...], n: int, k: int) -> int:
     every field of a box is at least 1, so the box fixes n too. Two slices
     share an entry only when they are the same ideal, and the memo is
     sound.
+
+    The memo outlives the call, and stays sound across calls: `_MEMO`
+    holds one dict for each width k, because equal ints at different
+    widths pack different ideals, and within one width the key is still
+    the ideal itself, whichever count met it first. A total is written
+    only when its frame is exhausted, so an interrupted call leaves no
+    partial entry. When a call ends, normally or by an exception, its
+    width's dict is cleared if it holds more than `MEMO_CAP` entries.
+    That bounds the entries the process keeps; the bytes an entry keeps
+    grow with its slice. By sys.getsizeof, a k = 1 dict filled to 16,377
+    entries by dense 1-skeleton counts (random_multigraph(n, 3, seed),
+    n <= 29) keeps 3.6 MB, while the parking ideal of K_14 leaves 8100
+    entries, below the cap, that keep 28.7 MB.
     """
-    memo, stack = {}, []
+    memo, stack = _MEMO.setdefault(k, {}), []
     key, n, slices, total = None, n, iter([(1, box, corners)]), 0
-    while True:
-        for c, box, corners in slices:
-            if len(corners) <= 2:
-                total += c * _corners(box, corners, n, k)
-            elif (hit := memo.get(s := (box, corners))) is not None:
-                total += c * hit
+    try:
+        while True:
+            for c, box, corners in slices:
+                if len(corners) <= 2:
+                    total += c * _corners(box, corners, n, k)
+                elif (hit := memo.get(s := (box, corners))) is not None:
+                    total += c * hit
+                else:
+                    stack.append((key, n, slices, total, c))
+                    key, n, slices, total = s, n - 1, _slices(box, corners, n, k), 0
+                    break
             else:
-                stack.append((key, n, slices, total, c))
-                key, n, slices, total = s, n - 1, _slices(box, corners, n, k), 0
-                break
-        else:
-            if not stack:
-                return total
-            memo[key] = total
-            key, n, slices, partial, c = stack.pop()
-            total = partial + c * total
+                if not stack:
+                    return total
+                memo[key] = total
+                key, n, slices, partial, c = stack.pop()
+                total = partial + c * total
+    finally:
+        if len(memo) > MEMO_CAP:
+            memo.clear()
 
 
 def _slices(box: int, corners: tuple[int, ...], n: int, k: int) -> Iterator[tuple[int, int, tuple[int, ...]]]:

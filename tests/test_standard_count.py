@@ -1,3 +1,4 @@
+import random
 import tracemalloc
 from contextlib import contextmanager
 from itertools import combinations, combinations_with_replacement, product
@@ -36,7 +37,7 @@ from parkdet.standard_count import (
     enumerate_standard,
 )
 from oracles import count_lambda_parking, is_g_parking, is_lambda_parking
-from test_monomial_ideals import wheel
+from test_monomial_ideals import cycle, fan, ladder, wheel
 
 K3 = complete_multigraph(2, 1, 1)
 K4 = complete_multigraph(3, 1, 1)
@@ -65,7 +66,10 @@ def decode(box, corners, n, k):
 def every_slice(check):
     # the counting loop looks up the module's _slices and _corners, so
     # check(box, corners, n, k) sees the top ideal, handed to one of them,
-    # and every slice _slices yields: a leaf, a memo hit or a miss alike
+    # and every slice _slices yields: a leaf, a memo hit or a miss alike.
+    # The memo outlives a count, so it is emptied first: on a warm one the
+    # top ideal could be a hit, and nothing would be sliced
+    standard_count._MEMO.clear()
     slices, corners = standard_count._slices, standard_count._corners
 
     def checked_slices(box, gens, n, k):
@@ -386,8 +390,9 @@ def test_chain_count_stays_small_in_memory():
     # one int, and the slice at x_1 = 0 shares its corners' ints with the
     # sliced ideal, so the memo of the order-400 chain peaks near 2 MB;
     # keyed by whole packed slices, it peaked near 29 MB, growing as the
-    # cube of the order
+    # cube of the order. The memo outlives a count, so it starts empty
     i = chain(400)
+    standard_count._MEMO.clear()
     tracemalloc.start()
     try:
         count_standard(i)
@@ -395,6 +400,12 @@ def test_chain_count_stays_small_in_memory():
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2 ** 20
+
+
+def cold_count(i):
+    # the count of i from an empty memo
+    standard_count._MEMO.clear()
+    return count_standard(i)
 
 
 @pytest.mark.parametrize("ideals, total, leaves, hits, misses", [
@@ -407,9 +418,10 @@ def test_chain_count_stays_small_in_memory():
 def test_the_loop_visits_the_nodes_the_recursion_did(ideals, total, leaves, hits, misses):
     # the counter was a recursion, one call per slice, with this slicing
     # order and memo key; these are the leaves, memo hits and misses it
-    # visited, and its total. _corners counts the leaves and _slices cuts
-    # the misses, the top ideal among them, which is never looked up in
-    # the memo; every other slice yielded is a hit
+    # visited, and its total, each ideal counted from an empty memo, as the
+    # recursion's memo lived for one call. _corners counts the leaves and
+    # _slices cuts the misses, the top ideal among them, which misses the
+    # empty memo; every other slice yielded is a hit
     seen = {"corners": 0, "slices": 0, "yielded": 0}
     slices, corners = standard_count._slices, standard_count._corners
 
@@ -426,9 +438,121 @@ def test_the_loop_visits_the_nodes_the_recursion_did(ideals, total, leaves, hits
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(standard_count, "_slices", counted_slices)
         mp.setattr(standard_count, "_corners", counted_corners)
-        assert sum(map(count_standard, ideals)) == total
+        assert sum(map(cold_count, ideals)) == total
     yielded_hits = seen["yielded"] + len(ideals) - seen["corners"] - seen["slices"]
     assert (seen["corners"], yielded_hits, seen["slices"]) == (leaves, hits, misses)
+
+
+@st.composite
+def wide_ideals(draw):
+    # a sparse_ideals shape with the nonzero exponents of some variables
+    # raised so that their pure powers reach 127, 128, 32767 or 32768,
+    # packed at k = 1, 2, 2 and 3 bytes a field, or left as it is (k = 1).
+    # Raising one variable's nonzero exponents by one amount keeps every
+    # divisibility, so the ideal stays minimal and Artinian
+    i = draw(sparse_ideals())
+    top = draw(st.sampled_from([None, 127, 128, 32767, 32768]))
+    if top is None:
+        return i
+    raised = draw(st.sets(st.integers(min_value=0, max_value=i.nvars - 1), min_size=1))
+    shift = [top - b if j in raised else 0 for j, b in enumerate(artinian_bounds(i))]
+    return MonomialIdeal(i.nvars, tuple(tuple(e and e + d for e, d in zip(g, shift)) for g in i.gens))
+
+
+# packed at their own widths, these two are the same (box, corners): 4
+# variables at k = 1 with the box (1, 5, 1, 5), and 2 at k = 2 with the
+# box (261, 261), each field a byte pair of the other's. Their counts, 15
+# and 527, may share no memo entry
+ONE_BYTE_TWIN = ideal(4, [(1, 0, 0, 0), (0, 5, 0, 0), (0, 0, 1, 0), (0, 0, 0, 5),
+                          (0, 1, 0, 4), (0, 2, 0, 3), (0, 3, 0, 2), (0, 4, 0, 1)])
+TWO_BYTE_TWIN = ideal(2, [(261, 0), (0, 261), (1, 4), (2, 3), (3, 2), (4, 1)])
+
+
+@settings(max_examples=60)
+@given(st.lists(wide_ideals(), min_size=2, max_size=6))
+@example([ONE_BYTE_TWIN, TWO_BYTE_TWIN])
+@example([TWO_BYTE_TWIN, ONE_BYTE_TWIN])
+def test_a_warm_memo_counts_as_a_cold_one(stream):
+    # the memo outlives a count, so each count of the stream runs on the
+    # entries its predecessors left, at its own width and at others
+    standard_count._MEMO.clear()
+    warm = [count_standard(i) for i in stream]
+    assert warm == [cold_count(i) for i in stream]
+    assert warm == [count_standard_ie(i) for i in stream]
+
+
+def test_family_sweeps_on_one_memo_match_the_matrix_tree_theorem():
+    # members of one family share slices across n, so a sweep hits the
+    # memo a smaller member left, or a larger one, in a shuffled order
+    graphs = [family(n) for family in (cycle, fan, wheel) for n in range(3, 14)]
+    graphs += [ladder(n) for n in range(3, 14, 2)]
+    random.Random(0).shuffle(graphs)
+    standard_count._MEMO.clear()
+    for g in graphs:
+        assert count_standard(parking_ideal(g)) == det(laplacians(g).ltilde)
+
+
+def slices_calls(i):
+    # the misses of one count: the slices _slices cut
+    calls = 0
+    slices = standard_count._slices
+
+    def counted_slices(box, gens, n, k):
+        nonlocal calls
+        calls += 1
+        return slices(box, gens, n, k)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(standard_count, "_slices", counted_slices)
+        count_standard(i)
+    return calls
+
+
+def test_a_count_reuses_the_slices_of_an_earlier_one():
+    # the 12-wheel's parking ideal is cut in 44 slices from an empty memo,
+    # and in none after the 13-wheel's count, which met them all
+    w12, w13 = parking_ideal(wheel(12)), parking_ideal(wheel(13))
+    standard_count._MEMO.clear()
+    cold = slices_calls(w12)
+    standard_count._MEMO.clear()
+    count_standard(w13)
+    assert slices_calls(w12) < cold
+
+
+def test_the_memo_keeps_at_most_its_cap(monkeypatch):
+    # K_8's parking ideal makes 99 misses at k = 1; a count that leaves a
+    # width's dict above the cap empties it, and leaves other widths be
+    k8 = parking_ideal(complete_multigraph(7, 1, 1))
+    memo = standard_count._MEMO
+    memo.clear()
+    assert count_standard(TWO_BYTE_TWIN) == 527
+    monkeypatch.setattr(standard_count, "MEMO_CAP", 99)
+    assert count_standard(k8) == 8 ** 6
+    assert len(memo[1]) == 99 and len(memo[2]) == 1
+    memo[1].clear()
+    monkeypatch.setattr(standard_count, "MEMO_CAP", 98)
+    assert count_standard(k8) == 8 ** 6
+    assert memo[1] == {} and len(memo[2]) == 1
+
+    # a count that raises part-way, once 60 slices are finished, clears an
+    # overfull dict too, and leaves in one under the cap only the totals
+    # of finished slices, which a recount then meets
+    slices = standard_count._slices
+
+    def failing_slices(box, gens, n, k):
+        if len(memo[1]) >= 60:
+            raise KeyboardInterrupt
+        return slices(box, gens, n, k)
+
+    for cap, kept in [(50, False), (99, True)]:
+        memo[1].clear()
+        monkeypatch.setattr(standard_count, "MEMO_CAP", cap)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(standard_count, "_slices", failing_slices)
+            with pytest.raises(KeyboardInterrupt):
+                count_standard(k8)
+        assert bool(memo[1]) == kept
+        assert count_standard(k8) == 8 ** 6
 
 
 @settings(max_examples=90)
